@@ -3,7 +3,7 @@
 Coefficients of a series in ``p`` variables truncated at total order ``K`` are
 stored as a flat vector over the graded-lex monomial list produced here.  The
 product table enumerates every ordered coefficient pair that contributes to the
-truncated product; both kernel backends consume the same table.
+truncated product; :func:`sympinv.kernels.mul_table` consumes it.
 """
 
 from functools import lru_cache
@@ -36,19 +36,8 @@ def index_of(nvars, order):
 
 
 @lru_cache(maxsize=None)
-def degrees(nvars, order):
-    return tuple(sum(m) for m in monomials(nvars, order))
-
-
-@lru_cache(maxsize=None)
 def count(nvars, order):
     return len(monomials(nvars, order))
-
-
-@lru_cache(maxsize=None)
-def truncation_count(nvars, order, new_order):
-    """Number of leading coefficients kept when truncating to new_order."""
-    return count(nvars, min(order, new_order))
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,9 +23,9 @@ from . import extended as ext_mod
 from . import functions as fn_mod
 from . import signature as sig_mod
 from .errors import (AllSamplesDegenerate, GeometryError, IncomparableClouds,
-                     JetError, JobError, SympinvError)
+                     JetError, JobError)
 from .geometry import CHARTS, JetPoint, parametric_curve_point
-from .jobs import JobSpec
+from .jobs import HEADER_KEYS, JobSpec
 from .prolong import orbit_dimension
 
 
@@ -46,24 +45,14 @@ def _load_job(path, args=None):
 
 
 def _apply_overrides(job, args):
-    import dataclasses
-
-    updates = {}
-    if getattr(args, "samples", None) is not None:
-        updates["samples"] = args.samples
-    if getattr(args, "depth", None) is not None:
-        updates["depth"] = args.depth
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "window", None) is not None:
-        lo, _, hi = args.window.partition(":")
-        try:
-            updates["window"] = (float(lo), float(hi))
-        except ValueError:
-            raise JobError(f"bad window {args.window!r}, expected A:B", field="window") from None
-        if not updates["window"][0] < updates["window"][1]:
-            raise JobError("window must satisfy A < B", field="window")
-    return dataclasses.replace(job, **updates) if updates else job
+    """The job with the --samples/--window/--depth/--seed overrides merged in,
+    validated exactly as a job file is."""
+    updates = {key: getattr(args, key) for key in ("samples", "window", "depth", "seed")
+               if getattr(args, key, None) is not None}
+    if not updates:
+        return job
+    keys = {key: getattr(job, key) for key in HEADER_KEYS}
+    return JobSpec._validate({**keys, **updates}, job.exprs)
 
 
 def _sample_points(job):
@@ -105,12 +94,7 @@ def cmd_invariants(args):
         except (GeometryError, JetError, ZeroDivisionError) as err:
             return idx, at, None, type(err).__name__
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(evaluate_one, enumerate(points)))
-    else:
-        rows = [evaluate_one(item) for item in enumerate(points)]
-    rows.sort(key=lambda r: r[0])
+    rows = [evaluate_one(item) for item in enumerate(points)]
     degenerate = sum(1 for r in rows if r[2] is None)
     if degenerate == len(rows):
         print("error: all samples degenerate", file=sys.stderr)
@@ -329,8 +313,12 @@ def cmd_signature(args):
     cloud = _cloud_from_job(job)
     text = sig_mod.cloud_to_json(cloud)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0
@@ -367,7 +355,6 @@ def build_parser():
     p_inv = sub.add_parser("invariants", help="evaluate invariants along an object")
     p_inv.add_argument("--job", required=True, help="job file")
     p_inv.add_argument("--format", choices=("csv", "json"), default=None)
-    p_inv.add_argument("--threads", type=int, default=1)
     add_overrides(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 

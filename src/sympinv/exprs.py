@@ -11,7 +11,8 @@ multiplication, unary minus allowed):
     exponent := ["-"] INT | "(" ["-"] INT ["/" INT] ")"
     atom     := NUMBER | NAME | NAME "(" expression ")" | "(" expression ")"
 
-Rational exponents are restricted to denominators 1, 2 and 3.  ASTs evaluate
+Rational exponents are restricted to denominators 1, 2 and 3, and nesting to
+``MAX_DEPTH`` levels.  ASTs evaluate
 over any scalar that supports field operations - floats, ``Fraction`` or jets -
 so one definition serves both numeric evaluation and derivative extraction.
 """
@@ -33,6 +34,14 @@ _FUNCTIONS = {
 }
 
 _ALLOWED_EXP_DENOMS = (1, 2, 3)
+
+# Deepest nesting accepted, both while parsing (parentheses, signs, calls) and
+# in the finished tree (which also deepens by one per chained operator):
+# evaluation and printing recurse on the tree, so this keeps every expression
+# well inside the interpreter's recursion limit.
+MAX_DEPTH = 100
+
+_DIGITS = "0123456789"
 
 
 # --- AST nodes ---------------------------------------------------------------
@@ -94,10 +103,10 @@ def _tokenize(src):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and src[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+            while j < n and (src[j] in _DIGITS or (src[j] == "." and not seen_dot)):
                 if src[j] == ".":
                     seen_dot = True
                 j += 1
@@ -121,6 +130,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.level = 0
         self.seen_vars = []
 
     def peek(self):
@@ -152,14 +162,22 @@ class _Parser:
         return node
 
     def parse_unary(self):
-        kind, _, _ = self.peek()
+        # every nested construct passes through here
+        kind, _, off = self.peek()
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                  offset=off)
         if kind == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        if kind == "+":
+            node = Neg(self.parse_unary())
+        elif kind == "+":
             self.advance()
-            return self.parse_unary()
-        return self.parse_power()
+            node = self.parse_unary()
+        else:
+            node = self.parse_power()
+        self.level -= 1
+        return node
 
     def parse_power(self):
         base = self.parse_atom()
@@ -200,6 +218,8 @@ class _Parser:
                     raise ExprSyntaxError("exponent denominator must be an integer",
                                           offset=den_tok[2])
                 denom = int(den_tok[1])
+                if denom == 0:
+                    raise ExprSyntaxError("exponent denominator is zero", offset=den_tok[2])
             self.expect(")")
             fr = Fraction(numer, denom)
             if fr.denominator not in _ALLOWED_EXP_DENOMS:
@@ -252,6 +272,8 @@ def parse(src):
     tok = parser.peek()
     if tok[0] != "end":
         raise ExprSyntaxError(f"trailing input {tok[1]!r}", offset=tok[2])
+    if _tree_depth(root) > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels")
     if declared is not None:
         for v in parser.seen_vars:
             if v not in declared:
@@ -260,6 +282,23 @@ def parse(src):
     else:
         free = tuple(parser.seen_vars)
     return ExprAst(root, free)
+
+
+def _tree_depth(root):
+    """Depth of an AST, found without recursion."""
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, BinOp):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, Neg):
+            stack.append((node.child, depth + 1))
+        elif isinstance(node, Pow):
+            stack.append((node.base, depth + 1))
+        elif isinstance(node, Call):
+            stack.append((node.arg, depth + 1))
+    return deepest
 
 
 # --- printer -----------------------------------------------------------------
@@ -388,8 +427,3 @@ def evaluate(ast, env):
         if name not in env:
             raise UnboundVariable(f"unbound variable {name!r}")
     return _eval_node(ast.root, env, exact)
-
-
-def eval_on_jets(ast, env):
-    """Alias of evaluate, kept for call sites that bind jets explicitly."""
-    return evaluate(ast, env)

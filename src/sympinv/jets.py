@@ -4,8 +4,8 @@
 coefficients c_sigma = d^sigma f / sigma! around a basepoint and implement
 exact truncated arithmetic through their order.  Two coefficient modes exist:
 
-* float mode - coefficients in a float64 numpy vector, products dispatched to
-  the selected kernel backend;
+* float mode - coefficients in a float64 numpy vector, products computed by
+  the numpy kernels of :mod:`sympinv.kernels`;
 * exact mode - coefficients in a plain list of objects supporting field
   operations (``fractions.Fraction``, dual numbers, ...), used by the
   exact-rational oracles.

@@ -7,7 +7,8 @@ JobSpec.to_text / JobSpec.from_text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .errors import ExprError, JobError
 from .exprs import parse as parse_expr
@@ -23,6 +24,9 @@ _FLAVORS = {
     "contact-surface": ("contact-csp",),
     "contact-function": ("contact-csp",),
 }
+
+# Header keys a job may set; geometry and flavor have no default.
+HEADER_KEYS = ("geometry", "flavor", "n", "window", "samples", "depth", "seed", "format")
 
 _DEFAULTS = {
     "n": 1,
@@ -75,6 +79,12 @@ class JobSpec:
 
     @classmethod
     def _validate(cls, keys, exprs):
+        """Check header values (strings from a job file, or typed values) and
+        expressions; return the JobSpec or raise JobError."""
+        unknown = sorted(set(keys) - set(HEADER_KEYS))
+        if unknown:
+            raise JobError(f"unknown key {unknown[0]!r} (allowed: {', '.join(HEADER_KEYS)})",
+                           field=unknown[0])
         geometry = keys.get("geometry")
         if geometry not in CHARTS:
             raise JobError(f"unknown geometry {geometry!r}", field="geometry")
@@ -87,6 +97,8 @@ class JobSpec:
             n = int(keys["n"])
         except (TypeError, ValueError):
             raise JobError("n must be an integer", field="n") from None
+        if n < 1:
+            raise JobError("n must be >= 1", field="n")
         if geometry in ("surface", "contact-curve", "contact-surface", "contact-function"):
             if n != (2 if geometry == "surface" else 1):
                 raise JobError(f"geometry {geometry!r} fixes n", field="n")
@@ -99,8 +111,9 @@ class JobSpec:
                 window = (float(lo), float(hi))
             except ValueError:
                 raise JobError(f"bad window {window!r}, expected A:B", field="window") from None
-        if not window[0] < window[1]:
-            raise JobError("window must satisfy A < B", field="window")
+        # hi - lo must be finite too: the sampler draws from [lo, hi)
+        if not (window[0] < window[1] and math.isfinite(window[1] - window[0])):
+            raise JobError("window must be finite and satisfy A < B", field="window")
         try:
             samples = int(keys["samples"])
             depth = int(keys["depth"])
@@ -111,6 +124,8 @@ class JobSpec:
             raise JobError("samples must be positive", field="samples")
         if depth < 0:
             raise JobError("depth must be >= 0", field="depth")
+        if seed < 0:
+            raise JobError("seed must be >= 0", field="seed")
         fmt = keys["format"]
         if fmt not in ("csv", "json"):
             raise JobError(f"unknown format {fmt!r}", field="format")
@@ -149,7 +164,7 @@ class JobSpec:
             f"geometry = {self.geometry}",
             f"flavor = {self.flavor}",
             f"n = {self.n}",
-            f"window = {self.window[0]:g}:{self.window[1]:g}",
+            f"window = {self.window[0]!r}:{self.window[1]!r}",
             f"samples = {self.samples}",
             f"depth = {self.depth}",
             f"seed = {self.seed}",

@@ -1,31 +1,22 @@
-"""Backend selection for the series kernels.
+"""The truncated-series product kernels under every float jet product.
 
-The compiled extension is used when it imported successfully and the
-environment variable ``SYMPINV_PURE_PYTHON`` is not set to ``1``.  Both
-backends are importable side by side (the benchmark compares them); this
-module only decides which one the jet classes call.
+Both are plain numpy: the kernel is a small share of any pushforward or
+invariant sweep, which is dominated by per-operation Python overhead.
 """
 
-import os
+import numpy as np
 
-from . import _kernels_py
 
-_speedups = None
-if os.environ.get("SYMPINV_PURE_PYTHON") != "1":
-    try:
-        from . import _speedups
-    except ImportError:
-        _speedups = None
+def mul1(a, b, n_out):
+    """Truncated univariate product: first n_out coefficients of a*b."""
+    return np.convolve(a, b)[:n_out]
 
-if _speedups is not None:
-    BACKEND = "compiled"
-    mul1 = _speedups.mul1
-    mul_table = _speedups.mul_table
-else:
-    BACKEND = "python"
-    mul1 = _kernels_py.mul1
-    mul_table = _kernels_py.mul_table
+
+def mul_table(a, b, pi, pj, pr, n_out):
+    """Truncated multivariate product through a precomputed pair table."""
+    return np.bincount(pr, weights=a[pi] * b[pj], minlength=n_out)
 
 
 def backend_name():
-    return BACKEND
+    """Name of the kernel implementation, recorded in run provenance."""
+    return "python"

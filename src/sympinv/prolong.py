@@ -20,12 +20,7 @@ from .symplectic import algebra_basis, contact_algebra_basis
 def generating_functions(field, point):
     """phi^j = b^j - sum_i a^i u^j_i along the graph, plus the a^i jets."""
     chart = point.chart
-    coords = point.space_coordinate_jets()
-    if chart.kind == "function":
-        args = coords
-    else:
-        args = coords
-    vals = field(args)
+    vals = field(point.space_coordinate_jets())
     a_jets = [vals[i] for i in chart.independent]
     phi = {}
     for name in chart.dependent:

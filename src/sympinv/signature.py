@@ -45,7 +45,6 @@ def generator_map(geometry, flavor, n):
     The evaluator maps a JetPoint to (invariant jets dict, derivations list);
     signature components are the invariants followed by derivation words.
     """
-    key = (geometry, flavor)
     if geometry == "curve" and flavor == "sp":
         if n == 1:
             def ev(p):
@@ -276,16 +275,12 @@ def cloud_to_json(cloud):
         "flavor": cloud.flavor,
         "generators": list(cloud.generators),
         "depth": cloud.depth,
-        "window": [_fmt(w) for w in cloud.window],
+        "window": [float(w) for w in cloud.window],
         "sample_count": cloud.sample_count,
         "degenerate_count": cloud.degenerate_count,
-        "points": [[_fmt(x) for x in p] for p in cloud.points],
+        "points": [list(p) for p in cloud.points],
     }
     return json.dumps(obj, indent=None, separators=(",", ":"), sort_keys=False)
-
-
-def _fmt(x):
-    return float(f"{x:.17g}")
 
 
 def cloud_from_json(text):

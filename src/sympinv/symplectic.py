@@ -8,11 +8,11 @@ is testable exactly and fields evaluate on any scalar (numbers or jets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DegreeError
 
@@ -351,11 +351,6 @@ def quadratic_monomials(space):
     return polys
 
 
-def sp_basis_fields(space):
-    """Basis of the linear symplectic algebra on a standard-ordered space."""
-    return [hamiltonian_field(h, space) for h in quadratic_monomials(space)]
-
-
 def algebra_basis(space, flavor):
     """Basis fields for sp / csp / asp / acsp on a (possibly reordered) space.
 
@@ -507,6 +502,36 @@ class ContactLift:
 
     def compose(self, other):
         return ContactLift(self.cspace, self.matrix @ other.matrix, self.scale * other.scale)
+
+
+# Coefficients b_0..b_13 of the degree-13 Pade approximant to exp and the
+# 1-norm below which it is accurate to double precision without scaling
+# (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a):
+    """Matrix exponential: degree-13 Pade approximant with scaling and squaring."""
+    a = np.asarray(a, dtype=np.float64)
+    norm = np.linalg.norm(a, 1)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def random_algebra_matrix(space, rng):

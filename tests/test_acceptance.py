@@ -8,6 +8,7 @@ configurable.
 import math
 import random
 import time
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -137,7 +138,7 @@ def test_criterion_2_invariance_battery():
             elements = [random_contact_lift(chart.space, flavor, 5000 + s) for s in range(50)]
         else:
             elements = [random_group_element(chart.space, flavor, 5000 + s) for s in range(50)]
-        rng = np.random.default_rng(abs(hash((geometry, flavor, n))) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(f"{geometry}/{flavor}/{n}".encode()))
         order = _battery_order(geometry, flavor, n)
         jets_done = 0
         worst = 0.0

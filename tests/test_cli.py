@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympinv.cli import main
 from sympinv.errors import JobError
@@ -62,6 +64,71 @@ class TestJobSpec:
         with pytest.raises(JobError):
             JobSpec.from_text(PARABOLA.replace("window = 1:2", "window = 2:1"))
 
+    @pytest.mark.parametrize("old,new", [
+        ("window = 1:2", "window = 0:inf"),
+        ("window = 1:2", "window = nan:1"),
+        ("window = 1:2", "window = -1e308:1e308"),
+        ("n = 1", "n = 0"),
+        ("n = 1", "n = -1"),
+        ("seed = 0", "seed = -1"),
+        ("seed = 0", "seed = 0\nbogus = 1"),
+    ])
+    def test_invalid_header(self, old, new):
+        with pytest.raises(JobError):
+            JobSpec.from_text(PARABOLA.replace(old, new))
+
+    def test_window_round_trips_exactly(self):
+        job = JobSpec.from_text(PARABOLA.replace("window = 1:2", "window = 0.1234567:1.1"))
+        again = JobSpec.from_text(job.to_text())
+        assert again.window == (0.1234567, 1.1)
+        assert again == job
+
+
+_WINDOW_BOUNDS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_JOBS = {  # geometry -> (flavor, expression block)
+    "curve": ("sp", "y = x^2 + 0.1234567*x"),
+    "function": ("csp", "u = x^2*y + exp(y)/3"),
+    "contact-curve": ("contact-csp", "y = x^3\n  z = sin(x)"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.sampled_from(sorted(_JOBS)),
+       bounds=st.tuples(_WINDOW_BOUNDS, _WINDOW_BOUNDS).filter(lambda w: w[0] < w[1]),
+       samples=st.integers(1, 10**6), depth=st.integers(0, 5),
+       seed=st.integers(0, 2**63), fmt=st.sampled_from(["csv", "json"]))
+def test_job_text_round_trip(geometry, bounds, samples, depth, seed, fmt):
+    flavor, body = _JOBS[geometry]
+    text = (f"geometry = {geometry}\nflavor = {flavor}\nwindow = {bounds[0]!r}:{bounds[1]!r}\n"
+            f"samples = {samples}\ndepth = {depth}\nseed = {seed}\nformat = {fmt}\n"
+            f"exprs:\n  {body}\n")
+    job = JobSpec.from_text(text)
+    assert job.window == bounds
+    assert JobSpec.from_text(job.to_text()) == job
+
+
+_VALUES = st.one_of(st.text(max_size=12), st.sampled_from(
+    ["curve", "function", "surface", "sp", "csp", "contact", "2", "1", "0", "-1", "1.5",
+     "1:2", "2:1", "0:inf", "nan:1", "-1e308:1e308", "json"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(changes=st.dictionaries(st.sampled_from(
+           ["geometry", "flavor", "n", "window", "samples", "depth", "seed", "format", "bogus"]),
+           _VALUES, max_size=3),
+       expr=st.one_of(st.text(max_size=30), st.sampled_from(
+           ["x^2", "x^(1/0)", "x^(1/5)", "1\u00b2", "(" * 300 + "x" + ")" * 300, "t + x"])),
+       junk=st.text(max_size=40))
+def test_any_job_text_parses_or_raises_job_error(changes, expr, junk):
+    header = dict(line.split(" = ") for line in PARABOLA.split("exprs:")[0].splitlines())
+    header.update(changes)
+    text = "".join(f"{k} = {v}\n" for k, v in header.items()) + f"exprs:\n  y = {expr}\n{junk}"
+    for candidate in (text, junk):
+        try:
+            assert isinstance(JobSpec.from_text(candidate), JobSpec)
+        except JobError:
+            pass
+
 
 class TestInvariantsCommand:
     def test_csv_rows_and_formula(self, tmp_path, capsys):
@@ -86,6 +153,15 @@ class TestInvariantsCommand:
         code = main(["invariants", "--job", path])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [
+        ("n = 1", "n = 0"),
+        ("seed = 0", "seed = 0\nbogus = 1"),
+    ])
+    def test_invalid_job_file_exits_2(self, tmp_path, capsys, old, new):
+        path = write(tmp_path, "bad.job", PARABOLA.replace(old, new))
+        assert main(["invariants", "--job", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_all_degenerate_exits_3(self, tmp_path, capsys):
         path = write(tmp_path, "line.job", PARABOLA.replace("y = x^2", "y = x"))
@@ -114,13 +190,34 @@ class TestInvariantsCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_threads_preserve_order(self, tmp_path, capsys):
+
+class TestOverrides:
+    @pytest.mark.parametrize("flags", [
+        ["--samples", "0"],
+        ["--depth", "-1"],
+        ["--seed", "-1"],
+        ["--window", "0:inf"],
+        ["--window=-1e308:1e308"],
+        ["--window", "2:1"],
+        ["--window", "1"],
+    ])
+    @pytest.mark.parametrize("command", ["invariants", "signature"])
+    def test_invalid_override_exits_2(self, tmp_path, capsys, command, flags):
         path = write(tmp_path, "parabola.job", PARABOLA)
-        main(["invariants", "--job", path])
-        serial = capsys.readouterr().out
-        main(["invariants", "--job", path, "--threads", "4"])
-        threaded = capsys.readouterr().out
-        assert serial == threaded
+        assert main([command, "--job", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_valid_overrides_apply(self, tmp_path, capsys):
+        path = write(tmp_path, "parabola.job", PARABOLA)
+        code = main(["signature", "--job", path, "--samples", "3", "--window", "0.25:0.75",
+                     "--depth", "0", "--seed", "5"])
+        cloud = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert cloud["window"] == [0.25, 0.75]
+        assert cloud["depth"] == 0
+        assert len(cloud["points"]) == 3
 
 
 class TestEquivalenceCommand:
@@ -153,6 +250,18 @@ class TestSignatureCommand:
         cloud = json.loads(out)
         assert cloud["geometry"] == "curve"
         assert len(cloud["points"]) == 4
+
+    def test_out_file_written(self, tmp_path, capsys):
+        path = write(tmp_path, "parabola.job", PARABOLA)
+        out = tmp_path / "cloud.json"
+        assert main(["signature", "--job", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["geometry"] == "curve"
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "parabola.job", PARABOLA)
+        code = main(["signature", "--job", path, "--out", str(tmp_path / "missing" / "c.json")])
+        assert code == 2
+        assert "error: cannot write" in capsys.readouterr().err
 
 
 class TestCheckCommand:

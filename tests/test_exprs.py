@@ -62,6 +62,29 @@ class TestParsing:
     def test_first_appearance_order(self):
         assert parse("b + a*b").free_vars == ("b", "a")
 
+    def test_zero_exponent_denominator(self):
+        with pytest.raises(ExprSyntaxError):
+            parse("t^(1/0)")
+
+    def test_non_ascii_digit_is_not_a_number(self):
+        with pytest.raises(ExprSyntaxError):
+            parse("1\u00b2")
+
+    @pytest.mark.parametrize("src", [
+        "(" * 5000 + "t" + ")" * 5000,
+        "-" * 5000 + "t",
+        "sin(" * 500 + "t" + ")" * 500,
+        " + ".join(["t"] * 5000),
+    ], ids=["parentheses", "signs", "calls", "chained-operators"])
+    def test_nesting_beyond_the_limit_is_an_expr_error(self, src):
+        with pytest.raises(ExprSyntaxError, match="nested deeper"):
+            parse(src)
+
+    def test_nesting_at_the_limit_parses_and_evaluates(self):
+        depth = exprs.MAX_DEPTH
+        assert evaluate(parse("(" * (depth - 1) + "t" + ")" * (depth - 1)), {"t": 2.0}) == 2.0
+        assert evaluate(parse(" + ".join(["t"] * depth)), {"t": 1.0}) == depth
+
 
 class TestPrinterRoundTrip:
     @pytest.mark.parametrize("src", [

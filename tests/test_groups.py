@@ -1,5 +1,8 @@
 """Symplectic/contact algebra, group sampling, pushforward and orbit ranks."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from sympinv.geometry import (
 )
 from sympinv.exprs import parse
 from sympinv.prolong import jet_space_dimension, orbit_dimension
+from sympinv import symplectic
 from sympinv.symplectic import (
     ContactSpace,
     GroupElement,
@@ -123,6 +127,34 @@ class TestGroupSampling:
         g = random_group_element(sp, "asp", 1)
         assert g.translation is not None
         assert g.symplecticity_defect() <= 1e-12
+
+    @pytest.mark.parametrize("flavor", ["sp", "csp", "asp", "acsp"])
+    def test_expm_matches_scipy(self, flavor, monkeypatch):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        sp = SymplecticSpace.standard(2)
+        ours = [random_group_element(sp, flavor, seed) for seed in range(50)]
+        monkeypatch.setattr(symplectic, "expm", scipy_linalg.expm)
+        for seed, g in enumerate(ours):
+            ref = random_group_element(sp, flavor, seed)
+            scale = np.max(np.abs(ref.matrix))
+            assert np.max(np.abs(g.matrix - ref.matrix)) <= 1e-13 * scale
+            if ref.translation is not None:
+                diff = np.max(np.abs(g.translation - ref.translation))
+                assert diff <= 1e-13 * max(scale, np.max(np.abs(ref.translation)))
+            j = sp.omega_matrix()
+            assert np.allclose(g.matrix.T @ j @ g.matrix, g.scale**2 * j, rtol=0, atol=1e-12)
+
+    def test_import_does_not_load_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sympinv; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
+
+    def test_expm_of_zero_and_of_a_large_matrix(self):
+        assert np.allclose(symplectic.expm(np.zeros((3, 3))), np.eye(3), rtol=0, atol=1e-15)
+        # a nilpotent matrix far above the scaling threshold: exp(tN) = I + tN
+        n = np.array([[0.0, 40.0], [0.0, 0.0]])
+        assert np.allclose(symplectic.expm(n), [[1.0, 40.0], [0.0, 1.0]], rtol=1e-13)
 
     def test_contact_lift_formula(self):
         # lift of A=[[a,b],[c,d]] must send (x,y,z) to
