@@ -68,13 +68,29 @@ def canonical_frame(point):
     if is_negligible(delta):
         raise DegenerateJet("dq(v0) vanishes")
 
-    def q_form(w1, w2):
-        acc = None
-        for a in range(p):
-            for b in range(p):
-                term = hess[a][b] * w1[a] * w2[b]
+    inv_delta = 1 / delta
+
+    def h_apply(w):
+        """H w: computed once per vector, it leaves p products per Q value."""
+        out = []
+        for row in hess:
+            acc = None
+            for h, x in zip(row, w):
+                term = h * x
                 acc = term if acc is None else acc + term
-        return acc / delta
+            out.append(acc)
+        return out
+
+    def q_with(w1, hw2):
+        """Q(w1, w2) = w1 . H w2 / delta, given hw2 = H w2."""
+        acc = None
+        for x, y in zip(w1, hw2):
+            term = x * y
+            acc = term if acc is None else acc + term
+        return acc * inv_delta
+
+    def q_form(w1, w2):
+        return q_with(w1, h_apply(w2))
 
     def omega_t(w1, w2):
         return space.omega(_embed(w1, du), _embed(w2, du))
@@ -117,11 +133,11 @@ def canonical_frame(point):
         working = _reduce_space(working, rho, step)
         step += 1
         # even step: v_step is the Q-dual partner of v_{step-1}
-        d = len(working)
-        rho_q = [q_form(v[step - 1], w) for w in working]
+        h_working = [h_apply(w) for w in working]
+        rho_q = [q_with(v[step - 1], hw) for hw in h_working]
         nxt = _reduce_space(working, rho_q, step)
-        rows = [[q_form(w_next, wb) for wb in working] for w_next in nxt]
-        rows.append([q_form(v[step - 1], wb) for wb in working])
+        rows = [[q_with(w_next, hw) for hw in h_working] for w_next in nxt]
+        rows.append(rho_q)
         rhs = [zero] * len(nxt) + [one]
         try:
             coeffs = solve(rows, rhs)

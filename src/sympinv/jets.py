@@ -12,6 +12,12 @@ exact truncated arithmetic through their order.  Two coefficient modes exist:
 
 Every downstream invariant evaluator is written against ordinary ``+ - * /``
 scalars, so the same formula runs on numbers and on jets of either mode.
+
+Arithmetic results are built by ``_new``, which skips the public
+constructor's conversions and passes the left operand's basepoint object
+along; operands that share that object skip the basepoint tolerance check.
+Public construction rejects a non-finite basepoint, so a shared object is
+always a valid one.
 """
 
 from __future__ import annotations
@@ -44,6 +50,14 @@ def _same_base(a, b, exact):
     return abs(a - b) <= 1e-9 * (1.0 + abs(a) + abs(b))
 
 
+def _check_basepoint(basepoint):
+    """Reject NaN and infinite coordinates, which no basepoint check would catch
+    once both operands share the basepoint object."""
+    for c in basepoint:
+        if _is_plain_number(c) and not math.isfinite(c):
+            raise DomainError(f"non-finite basepoint {basepoint!r}")
+
+
 def _factorial_multi(sigma):
     out = 1
     for e in sigma:
@@ -67,6 +81,7 @@ class TaylorJet:
             self.coeffs = list(coeffs)
         else:
             self.coeffs = np.asarray(coeffs, dtype=np.float64)
+        _check_basepoint((basepoint,))
         self.basepoint = basepoint
         self.exact = exact
 
@@ -102,14 +117,17 @@ class TaylorJet:
     def truncate(self, new_order):
         if new_order >= self.order:
             return self
-        return TaylorJet(self.coeffs[: new_order + 1], self.basepoint, exact=self.exact)
+        return self._new(self.coeffs[: new_order + 1], new_order, self.exact)
 
     def derivative(self):
         """Jet of f' (one order lower)."""
         if self.order < 1:
             raise OrderExhausted("cannot differentiate an order-0 jet")
-        coeffs = [self.coeffs[j] * j for j in range(1, self.order + 1)]
-        return TaylorJet(coeffs, self.basepoint, exact=self.exact)
+        if self.exact:
+            coeffs = [self.coeffs[j] * j for j in range(1, self.order + 1)]
+        else:
+            coeffs = self.coeffs[1:] * np.arange(1, self.order + 1)
+        return self._new(coeffs, self.order - 1, self.exact)
 
     def __repr__(self):
         return f"TaylorJet({list(self.coeffs)!r}, basepoint={self.basepoint!r})"
@@ -121,7 +139,9 @@ class TaylorJet:
         if isinstance(other, MultiJet):
             raise TypeError("cannot mix TaylorJet with MultiJet")
         if isinstance(other, TaylorJet):
-            if not _same_base(self.basepoint, other.basepoint, self.exact and other.exact):
+            if (other.basepoint is not self.basepoint
+                    and not _same_base(self.basepoint, other.basepoint,
+                                       self.exact and other.exact)):
                 raise BasepointMismatch(
                     f"basepoints {self.basepoint!r} and {other.basepoint!r}"
                 )
@@ -132,26 +152,36 @@ class TaylorJet:
             return a, b, n, exact
         return None
 
-    def _new(self, coeffs, exact):
-        return TaylorJet(coeffs, self.basepoint, exact=exact)
+    def _new(self, coeffs, order, exact):
+        """Result at this jet's basepoint object, bypassing ``__init__``.
+
+        ``coeffs`` must already be a list (exact) or a float64 vector (float).
+        """
+        if len(coeffs) != order + 1:
+            raise ValueError("coefficient vector does not match the order")
+        out = TaylorJet.__new__(TaylorJet)
+        out.coeffs = coeffs
+        out.basepoint = self.basepoint
+        out.exact = exact
+        return out
 
     def __add__(self, other):
         pair = self._coerce(other) if isinstance(other, (TaylorJet, MultiJet)) else None
         if pair is not None:
             a, b, n, exact = pair
             if exact:
-                return self._new([x + y for x, y in zip(a, b)], True)
-            return self._new(a + b, False)
+                return self._new([x + y for x, y in zip(a, b)], n, True)
+            return self._new(a + b, n, False)
         coeffs = list(self.coeffs) if self.exact else self.coeffs.copy()
         coeffs[0] = coeffs[0] + other
-        return self._new(coeffs, self.exact)
+        return self._new(coeffs, self.order, self.exact)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.exact:
-            return self._new([-c for c in self.coeffs], True)
-        return self._new(-self.coeffs, False)
+            return self._new([-c for c in self.coeffs], self.order, True)
+        return self._new(-self.coeffs, self.order, False)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TaylorJet) else -1 * other)
@@ -170,11 +200,11 @@ class TaylorJet:
                     for i in range(1, k + 1):
                         acc = acc + a[i] * b[k - i]
                     out.append(acc)
-                return self._new(out, True)
-            return self._new(mul1(a, b, n + 1), False)
+                return self._new(out, n, True)
+            return self._new(mul1(a, b, n + 1), n, False)
         if self.exact:
-            return self._new([c * other for c in self.coeffs], True)
-        return self._new(self.coeffs * float(other), False)
+            return self._new([c * other for c in self.coeffs], self.order, True)
+        return self._new(self.coeffs * float(other), self.order, False)
 
     __rmul__ = __mul__
 
@@ -187,17 +217,28 @@ class TaylorJet:
         return self.reciprocal() * other
 
     def reciprocal(self):
+        """1/f by the Taylor recurrence r_k = -(sum_{i=1..k} a_i r_{k-i}) / a_0.
+
+        Coefficient k of f * r vanishes for k >= 1, which fixes r_k from the
+        lower ones: O(K^2) scalar operations and no intermediate jets.
+        """
         c0 = self.coeffs[0]
         if self.exact:
             if c0 == 0:
                 raise DivisionByZeroJet("exact divisor with zero constant term")
-        elif abs(c0) < _DIV_FLOOR:
-            raise DivisionByZeroJet(f"divisor constant term {c0!r}")
-        t = self / c0 - 1  # nilpotent
-        res = self.constant(_one_like(c0), self.order, self.basepoint, exact=self.exact)
-        for _ in range(self.order):
-            res = 1 - t * res
-        return res / c0
+            a = self.coeffs
+        else:
+            if abs(c0) < _DIV_FLOOR:
+                raise DivisionByZeroJet(f"divisor constant term {c0!r}")
+            a = self.coeffs.tolist()
+            c0 = a[0]
+        r = [_scalar_reciprocal(c0, self.exact)]
+        for k in range(1, len(a)):
+            acc = a[1] * r[k - 1]
+            for i in range(2, k + 1):
+                acc = acc + a[i] * r[k - i]
+            r.append(-acc / c0)
+        return self._new(r if self.exact else np.array(r), self.order, self.exact)
 
     def __pow__(self, expo):
         return _jet_pow(self, expo)
@@ -224,6 +265,7 @@ class MultiJet:
         if len(self.coeffs) != _tables.count(nvars, order):
             raise ValueError("coefficient vector does not match the dense layout")
         self.basepoint = tuple(basepoint)
+        _check_basepoint(self.basepoint)
         self.exact = exact
 
     # -- construction -------------------------------------------------------
@@ -282,8 +324,7 @@ class MultiJet:
         if new_order >= self.order:
             return self
         n = _tables.count(self.nvars, new_order)
-        return MultiJet(self.nvars, new_order, self.coeffs[:n], self.basepoint,
-                        exact=self.exact)
+        return self._new(self.coeffs[:n], new_order, self.exact)
 
     def partial(self, direction):
         """Jet of df/dx_direction (one order lower)."""
@@ -296,10 +337,10 @@ class MultiJet:
             out = [zero] * n
             for s, d, m in zip(src, dst, mult):
                 out[d] = out[d] + self.coeffs[s] * int(m)
-            return MultiJet(self.nvars, self.order - 1, out, self.basepoint, exact=True)
+            return self._new(out, self.order - 1, True)
         out = np.zeros(n)
         out[dst] = self.coeffs[src] * mult
-        return MultiJet(self.nvars, self.order - 1, out, self.basepoint, exact=False)
+        return self._new(out, self.order - 1, False)
 
     def restrict_to_var(self, i):
         """Univariate jet along variable i (others frozen at the basepoint)."""
@@ -323,8 +364,9 @@ class MultiJet:
             if other.nvars != self.nvars:
                 raise TypeError("variable counts differ")
             exact = self.exact or other.exact
-            if not all(_same_base(a, b, exact)
-                       for a, b in zip(self.basepoint, other.basepoint)):
+            if (other.basepoint is not self.basepoint
+                    and not all(_same_base(a, b, exact)
+                                for a, b in zip(self.basepoint, other.basepoint))):
                 raise BasepointMismatch(
                     f"basepoints {self.basepoint!r} and {other.basepoint!r}"
                 )
@@ -335,15 +377,26 @@ class MultiJet:
         return None
 
     def _new(self, coeffs, order, exact):
-        return MultiJet(self.nvars, order, coeffs, self.basepoint, exact=exact)
+        """Result at this jet's basepoint object, bypassing ``__init__``.
+
+        ``coeffs`` must already be a list (exact) or a float64 vector (float).
+        """
+        if len(coeffs) != _tables.count(self.nvars, order):
+            raise ValueError("coefficient vector does not match the dense layout")
+        out = MultiJet.__new__(MultiJet)
+        out.nvars = self.nvars
+        out.order = order
+        out.coeffs = coeffs
+        out.basepoint = self.basepoint
+        out.exact = exact
+        return out
 
     def __add__(self, other):
         pair = self._coerce(other) if isinstance(other, (TaylorJet, MultiJet)) else None
         if pair is not None:
             a, b, n_ord, exact = pair
             if exact:
-                return self._new([x + y for x, y in zip(list(a.coeffs), list(b.coeffs))],
-                                 n_ord, True)
+                return self._new([x + y for x, y in zip(a.coeffs, b.coeffs)], n_ord, True)
             return self._new(a.coeffs + b.coeffs, n_ord, False)
         coeffs = list(self.coeffs) if self.exact else self.coeffs.copy()
         coeffs[0] = coeffs[0] + other
@@ -685,6 +738,14 @@ def invert_series(s):
     Accepts a single TaylorJet (p = 1) or a sequence of p MultiJets in p
     variables; returns the jet(s) of the inverse map centered at the image
     point, so compose(s, invert_series(s)) is the identity through order K.
+
+    Writing s(x) = b + L(x - a) + N(x - a) with N of order >= 2, the inverse
+    t solves t = a + L^-1 (y - b - N(t - a)).  Starting from the affine t_1,
+    pass k = 2..K evaluates the right-hand side at order k only: N's order-k
+    terms depend on t through order k - 1 alone, so pass k fixes the order-k
+    coefficients and only the last pass works at full order (Griewank and
+    Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  Exact-mode results
+    equal those of K - 1 full-order passes.
     """
     if isinstance(s, TaylorJet):
         inv = _invert_multi([_taylor_to_multi(s)])
@@ -732,11 +793,25 @@ def _invert_multi(jets):
             lin_i = lin_i + (xs[j] - a[j]) * lin[i][j]
         n_parts.append(jets[i] - b[i] - lin_i)
 
-    t_cur = affine_step(y_shift)
-    for _ in range(max(order - 1, 0)):
-        n_of_t = [compose_multi(n_parts[i], t_cur) for i in range(p)]
+    # growing order: pass k runs at order k on the order-(k-1) result padded
+    # with zeros, which cannot reach the order-k terms of N(t)
+    t_cur = affine_step([y.truncate(1) for y in y_shift])
+    for k in range(2, order + 1):
+        t_in = [_zero_padded(t, k) for t in t_cur]
+        n_of_t = [compose_multi(n_parts[i], t_in) for i in range(p)]
         t_cur = affine_step([y_shift[j] - n_of_t[j] for j in range(p)])
     return t_cur
+
+
+def _zero_padded(jet, order):
+    """The same jet at a higher order, every new coefficient zero."""
+    n = _tables.count(jet.nvars, order)
+    if jet.exact:
+        coeffs = jet.coeffs + [_zero_like(jet.coeffs[0])] * (n - len(jet.coeffs))
+    else:
+        coeffs = np.zeros(n)
+        coeffs[: len(jet.coeffs)] = jet.coeffs
+    return jet._new(coeffs, order, jet.exact)
 
 
 def _invert_matrix(rows, exact):

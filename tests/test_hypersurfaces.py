@@ -169,6 +169,53 @@ class TestGeneralFrame:
             assert np.allclose(mapped, amb_moved, rtol=1e-9, atol=1e-9)
 
 
+def triple_product_q(point, delta, w1, w2):
+    """Q(w1, w2) as the p^2 sum of hess[a][b] * w1[a] * w2[b], over delta."""
+    _, _, _, hess = hyp._data(point)
+    acc = None
+    for a in range(len(hess)):
+        for b in range(len(hess)):
+            term = hess[a][b] * w1[a] * w2[b]
+            acc = term if acc is None else acc + term
+    return acc / delta
+
+
+class TestQFormReference:
+    @pytest.mark.parametrize("n,order", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_float_frame_matches_triple_products(self, n, order):
+        rng = np.random.default_rng(50 + 10 * n + order)
+        for _ in range(3):
+            p = JetPoint.random(hypersurface_chart(n), order, rng)
+            fr = hyp.canonical_frame(p)
+            vecs = fr.vectors[1:]
+            want = [[triple_product_q(p, fr.delta, vi, vj).coeffs for vj in vecs]
+                    for vi in vecs]
+            # relative to the largest entry: the off-diagonal zeros cancel
+            scale = np.max(np.abs(want))
+            got = [[fr._q_form(vi, vj).coeffs for vj in vecs] for vi in vecs]
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-13 * scale
+            for i in range(len(vecs)):
+                inv = fr.invariants[f"I2_{i + 1}"].coeffs
+                assert np.max(np.abs(inv - want[i][i])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_frame_equals_triple_products(self, n):
+        rng = np.random.default_rng(60 + n)
+        p = JetPoint.random(hypersurface_chart(n), 2, rng, exact=True)
+        fr = hyp.canonical_frame(p)
+        vecs = fr.vectors[1:]
+        for i, vi in enumerate(vecs):
+            for j, vj in enumerate(vecs):
+                want = triple_product_q(p, fr.delta, vi, vj)
+                assert fr._q_form(vi, vj).coeffs == want.coeffs
+                if i == j:
+                    assert fr.invariants[f"I2_{i + 1}"].coeffs == want.coeffs
+                elif {i, j} in ({2 * r, 2 * r + 1} for r in range(n)):
+                    assert want.value() == 1  # the frame's [[I, 1], [1, I]] blocks
+                else:
+                    assert want.value() == 0
+
+
 class TestRescaleIdentity:
     def test_constant_one(self):
         p = sphere_point()

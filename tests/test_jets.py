@@ -1,5 +1,7 @@
 """Kernel-level tests for truncated series arithmetic."""
 
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympinv import jets
+from sympinv import _tables, jets
 from sympinv.errors import (
     BasepointMismatch,
     DivisionByZeroJet,
     DomainError,
+    JetError,
     OrderExhausted,
     SingularLinearPart,
 )
@@ -291,3 +294,245 @@ class TestMultiJet:
 def test_jet_value_equals_polynomial_value(coeffs, t0):
     jet = poly_jet([float(c) for c in coeffs], float(t0), len(coeffs) - 1)
     assert jet.value() == pytest.approx(poly_eval(coeffs, t0), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# references for the replaced algorithms
+# ---------------------------------------------------------------------------
+
+def fixed_point_inverse(maps):
+    """Inverse jet map by K - 1 fixed-point passes, each at full order."""
+    p = len(maps)
+    order = min(g.order for g in maps)
+    maps = [g.truncate(order) for g in maps]
+    exact = any(g.exact for g in maps)
+    a = maps[0].basepoint
+    b = tuple(g.value() for g in maps)
+    lin = jets._linear_part_matrix(maps)
+    linv = jets._invert_matrix(lin, exact)
+    ys = [MultiJet.variable(j, p, order, b, exact=exact) for j in range(p)]
+    y_shift = [ys[j] - b[j] for j in range(p)]
+
+    def affine_step(rhs):
+        out = []
+        for i in range(p):
+            acc = jets._const_like(rhs[0], a[i])
+            for j in range(p):
+                acc = acc + rhs[j] * linv[i][j]
+            out.append(acc)
+        return out
+
+    xs = [MultiJet.variable(j, p, order, a, exact=exact) for j in range(p)]
+    n_parts = []
+    for i in range(p):
+        lin_i = jets._const_like(xs[0], b[i] * 0)
+        for j in range(p):
+            lin_i = lin_i + (xs[j] - a[j]) * lin[i][j]
+        n_parts.append(maps[i] - b[i] - lin_i)
+
+    t_cur = affine_step(y_shift)
+    for _ in range(max(order - 1, 0)):
+        n_of_t = [compose_multi(n_parts[i], t_cur) for i in range(p)]
+        t_cur = affine_step([y_shift[j] - n_of_t[j] for j in range(p)])
+    return t_cur
+
+
+def horner_reciprocal(x):
+    """1/x by K Horner steps on the nilpotent part of x / c0."""
+    c0 = x.coeffs[0]
+    one = Fraction(1) if x.exact else 1.0
+    t = x / c0 - 1
+    res = TaylorJet.constant(one, x.order, x.basepoint, exact=x.exact)
+    for _ in range(x.order):
+        res = 1 - t * res
+    return res / c0
+
+
+def assert_float_close(got, want, rtol=1e-13):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def random_map(rng, p, order, exact=False):
+    """p jets in p variables with an invertible, near-identity linear part."""
+    n = _tables.count(p, order)
+    linear = [_tables.index_of(p, order)[tuple(int(k == j) for k in range(p))]
+              for j in range(p)]
+    if exact:
+        def draw(lo, hi):
+            return Fraction(int(rng.integers(lo, hi + 1)), int(rng.integers(1, 4)))
+        base = tuple(draw(-2, 2) for _ in range(p))
+    else:
+        def draw(lo, hi):
+            return float(rng.uniform(lo, hi))
+        base = tuple(draw(-1, 1) for _ in range(p))
+    out = []
+    for i in range(p):
+        coeffs = [draw(-1, 1) for _ in range(n)]
+        for j, pos in enumerate(linear):
+            coeffs[pos] = (2 if i == j else 0) + draw(-1, 1) / 4
+        out.append(MultiJet(p, order, coeffs, base, exact=exact))
+    return out
+
+
+class TestReplacedAlgorithms:
+    @pytest.mark.parametrize("p,order", [(1, 6), (2, 4), (3, 3)])
+    def test_inverse_equals_fixed_point_exact(self, p, order):
+        rng = np.random.default_rng(100 + 10 * p + order)
+        for _ in range(2):
+            maps = random_map(rng, p, order, exact=True)
+            got = invert_series(maps)
+            want = fixed_point_inverse(maps)
+            for g, w in zip(got, want):
+                assert g.order == w.order == order
+                assert g.coeffs == w.coeffs
+                assert g.basepoint == w.basepoint
+
+    @pytest.mark.parametrize("p,order", [(1, 6), (2, 6), (3, 5), (4, 4), (5, 3), (5, 6)])
+    def test_inverse_matches_fixed_point_float(self, p, order):
+        rng = np.random.default_rng(200 + 10 * p + order)
+        for _ in range(3 if p < 5 else 1):
+            maps = random_map(rng, p, order)
+            got = invert_series(maps)
+            want = fixed_point_inverse(maps)
+            for g, w in zip(got, want):
+                assert g.order == w.order == order
+                assert_float_close(g.coeffs, w.coeffs)
+
+    def test_univariate_inverse_matches_fixed_point(self):
+        rng = np.random.default_rng(31)
+        for exact in (False, True):
+            for order in range(1, 7):
+                (m,) = random_map(rng, 1, order, exact=exact)
+                s = m.restrict_to_var(0)
+                got = invert_series(s)
+                (want,) = fixed_point_inverse([m])
+                assert isinstance(got, TaylorJet) and got.order == order
+                if exact:
+                    assert got.coeffs == want.coeffs
+                else:
+                    assert_float_close(got.coeffs, want.coeffs)
+
+    def test_reciprocal_matches_horner(self):
+        rng = np.random.default_rng(37)
+        for order in range(0, 7):
+            for _ in range(5):
+                ints = [int(x) for x in rng.integers(-5, 6, size=order + 1)]
+                ints[0] = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                den = int(rng.integers(1, 5))
+                exact = TaylorJet([Fraction(c, den) for c in ints], Fraction(1, 3), exact=True)
+                assert exact.reciprocal().coeffs == horner_reciprocal(exact).coeffs
+                coeffs = rng.uniform(-2, 2, size=order + 1)
+                coeffs[0] = rng.uniform(1, 2)
+                flt = TaylorJet(coeffs, 0.25)
+                assert_float_close(flt.reciprocal().coeffs, horner_reciprocal(flt).coeffs)
+
+    def test_reciprocal_of_dual_coefficients_matches_horner(self):
+        from sympinv.rational import Dual
+
+        x = TaylorJet([Dual(2, 1), Dual(Fraction(1, 3), -2), Dual(-1, 0), Dual(5, 7)],
+                      Fraction(0), exact=True)
+        assert x.reciprocal().coeffs == horner_reciprocal(x).coeffs
+
+
+class TestInversionWork:
+    """Deterministic work counts of one inversion: no timing involved."""
+
+    def test_growing_order_passes_count(self, monkeypatch):
+        calls = []
+        real = jets.mul_table
+
+        def counting(a, b, pi, pj, pr, n_out):
+            calls.append(len(pi))
+            return real(a, b, pi, pj, pr, n_out)
+
+        monkeypatch.setattr(jets, "mul_table", counting)
+        maps = random_map(np.random.default_rng(5), 5, 6)
+        invert_series(maps)
+        new_calls, new_madds = len(calls), sum(calls)
+        # pass k composes 5 outer jets, each with one product per monomial of
+        # degree 2..k, at order k
+        assert new_calls == 5 * sum(_tables.count(5, k) - 6 for k in range(2, 7)) == 4435
+        assert new_madds == 5 * sum((_tables.count(5, k) - 6) * len(_tables.product_table(5, k)[0])
+                                    for k in range(2, 7)) == 22628980
+        calls.clear()
+        fixed_point_inverse(maps)
+        assert len(calls) == 5 * 5 * (_tables.count(5, 6) - 6) == 11400
+        assert sum(calls) > 2 * new_madds
+
+
+class TestBasepoints:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_basepoint_rejected(self, bad):
+        with pytest.raises(DomainError):
+            TaylorJet([1.0, 2.0], bad)
+        with pytest.raises(DomainError):
+            TaylorJet.variable(bad, 2)
+        with pytest.raises(DomainError):
+            MultiJet.variable(0, 2, 2, (0.0, bad))
+        with pytest.raises(DomainError):
+            MultiJet.constant(1.0, 2, 2, (bad, 0.0))
+        with pytest.raises(JetError):
+            MultiJet(1, 1, [1.0, 0.0], (bad,))
+        with pytest.raises(DomainError):
+            TaylorJet([Fraction(1)], bad, exact=True)
+
+    def test_equal_distinct_basepoints_still_checked(self):
+        a = MultiJet.variable(0, 2, 2, (0.5, 1.0))
+        b = MultiJet.variable(1, 2, 2, tuple([0.5, 1.0]))
+        assert a.basepoint is not b.basepoint
+        assert (a * b).basepoint is a.basepoint
+        c = MultiJet.variable(1, 2, 2, (0.5, 1.5))
+        with pytest.raises(BasepointMismatch):
+            _ = a + c
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_arithmetic_results_keep_layout_and_basepoint(data):
+    """Mixed-order chains: every result has the dense layout of its order and
+    carries the left jet operand's basepoint object."""
+    exact = data.draw(st.booleans(), label="exact")
+    nvars = data.draw(st.integers(1, 3), label="nvars")
+    uni = nvars == 1 and data.draw(st.booleans(), label="taylor")
+    ints = data.draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars),
+                     label="base")
+    base = tuple(Fraction(x) if exact else float(x) for x in ints)
+    coeff = st.integers(-4, 4).map(lambda k: Fraction(k, 2) if exact else k / 2)
+
+    def draw_jet(label):
+        order = data.draw(st.integers(0, 4), label=f"{label}.order")
+        n = order + 1 if uni else _tables.count(nvars, order)
+        coeffs = data.draw(st.lists(coeff, min_size=n, max_size=n), label=f"{label}.coeffs")
+        coeffs[0] = coeffs[0] + 3  # divisors keep a nonzero constant term
+        # equal basepoint values, sometimes as distinct objects
+        shared = data.draw(st.booleans(), label=f"{label}.shared")
+        bp = base if shared else tuple(c + 0 for c in base)
+        if uni:
+            return TaylorJet(coeffs, bp[0], exact=exact)
+        return MultiJet(nvars, order, coeffs, bp, exact=exact)
+
+    acc = draw_jet("start")
+    for step in range(data.draw(st.integers(1, 6), label="steps")):
+        op = data.draw(st.sampled_from(sorted(_OPS)), label=f"op{step}")
+        flipped = data.draw(st.booleans(), label=f"flipped{step}")
+        if op == "/" and flipped and abs(acc.coeffs[0]) < 1e-3:
+            op = "*"  # acc would be the divisor
+        other = (draw_jet(f"jet{step}") if data.draw(st.booleans(), label=f"kind{step}")
+                 else data.draw(coeff, label=f"scalar{step}") + 3)
+        res = _OPS[op](other, acc) if flipped else _OPS[op](acc, other)
+        left = other if flipped and isinstance(other, type(acc)) else acc
+        want_order = min(acc.order, other.order) if isinstance(other, type(acc)) else acc.order
+        assert res.order == want_order
+        if uni:
+            assert len(res.coeffs) == res.order + 1
+        else:
+            assert len(res.coeffs) == _tables.count(nvars, res.order)
+        assert res.basepoint is left.basepoint
+        assert res.exact == exact
+        assert isinstance(res.coeffs, list) if exact else res.coeffs.dtype == np.float64
+        acc = res
