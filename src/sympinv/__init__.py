@@ -6,7 +6,8 @@ surfaces, and solve the equivalence problem through signature clouds.
 """
 
 from .geometry import CHARTS, Derivation, JetPoint, pushforward
-from .jets import MultiJet, TaylorJet, compose, compose_multi, invert_series, total_derivative
+from .jets import (MultiJet, TaylorJet, compose, compose_many, compose_multi, invert_series,
+                   total_derivative)
 from .kernels import backend_name
 from .signature import SignatureCloud, equivalent, signature_of
 from .symplectic import ContactSpace, GroupElement, SymplecticSpace
@@ -25,6 +26,7 @@ __all__ = [
     "TaylorJet",
     "backend_name",
     "compose",
+    "compose_many",
     "compose_multi",
     "equivalent",
     "invert_series",

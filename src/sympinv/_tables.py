@@ -3,9 +3,12 @@
 Coefficients of a series in ``p`` variables truncated at total order ``K`` are
 stored as a flat vector over the graded-lex monomial list produced here.  The
 product table enumerates every ordered coefficient pair that contributes to the
-truncated product; :func:`sympinv.kernels.mul_table` consumes it.
+truncated product; :func:`sympinv.kernels.mul_table` consumes it.  The compose
+plan gives each monomial's parent in the recursion that builds the monomial
+jets of a composition.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -63,6 +66,35 @@ def product_table(nvars, order):
         np.asarray(pj, dtype=np.int64),
         np.asarray(pr, dtype=np.int64),
     )
+
+
+def pair_count(nvars, order):
+    """Length of ``product_table(nvars, order)`` without building it.
+
+    A pair of monomials with total degree <= order is one monomial in
+    2 * nvars variables, so there are C(2 * nvars + order, order) of them.
+    """
+    return math.comb(2 * nvars + order, order)
+
+
+@lru_cache(maxsize=None)
+def compose_plan(nvars, order):
+    """The monomial recursion under composition, as (first, parent) tuples.
+
+    For the graded-lex monomial at index r >= 1, ``first[r]`` is its first
+    variable with a positive exponent and ``parent[r]`` the index of the
+    monomial with that exponent lowered by one, so that
+    h^sigma = h^parent * h_first.  Index 0 (the constant) has both set to -1.
+    Parents come before their children, and the plan of a lower order is a
+    prefix of the plan of a higher one.
+    """
+    pos = index_of(nvars, order)
+    first, parent = [-1], [-1]
+    for sigma in monomials(nvars, order)[1:]:
+        k = next(i for i, e in enumerate(sigma) if e > 0)
+        first.append(k)
+        parent.append(pos[sigma[:k] + (sigma[k] - 1,) + sigma[k + 1:]])
+    return tuple(first), tuple(parent)
 
 
 @lru_cache(maxsize=None)

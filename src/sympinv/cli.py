@@ -24,7 +24,7 @@ from . import functions as fn_mod
 from . import signature as sig_mod
 from .errors import (AllSamplesDegenerate, GeometryError, IncomparableClouds,
                      JetError, JobError)
-from .geometry import CHARTS, JetPoint, parametric_curve_point
+from .geometry import CHARTS, JetPoint, default_order, parametric_curve_point
 from .jobs import HEADER_KEYS, JobSpec
 from .prolong import orbit_dimension
 
@@ -81,7 +81,7 @@ def _build_point(job, at, order):
 def cmd_invariants(args):
     job = _load_job(args.job, args)
     labels = sig_mod.component_labels(job.geometry, job.flavor, job.n, job.depth)
-    order = sig_mod._default_order(job.geometry, job.n)
+    order = default_order(job.geometry, job.n)
     points = _sample_points(job)
     param_names = job.parameter_names()
 
@@ -187,7 +187,7 @@ def _run_invariance(geometry, flavor, n, trials, jets, seed):
     contact = geometry.startswith("contact")
     chart = CHARTS[geometry](n)
     values = _invariance_cases(geometry, flavor, n)
-    order = sig_mod._default_order(geometry, n)
+    order = default_order(geometry, n)
     rng = np.random.default_rng(seed)
     worst = 0.0
     tested = 0

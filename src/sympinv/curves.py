@@ -18,6 +18,7 @@ from functools import lru_cache
 from .errors import DegenerateJet, NormalizationSingular
 from .geometry import Derivation
 from .jetlinalg import is_negligible, magnitude
+from .jets import divide_all
 from .symplectic import Poly
 
 
@@ -115,7 +116,7 @@ def frame(point):
         denom = delta**m
         if is_negligible(denom):
             raise NormalizationSingular(f"cascade denominator vanishes at order {m}")
-        new_v = [r / denom for r in resid]
+        new_v = divide_all(resid, denom)
         v.append(new_v)
         k_vals.append(k_m)
     ks = tuple([inv_delta] + k_vals[1:])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _tables
 from .errors import GraphDegeneracy, SingularLinearPart
-from .jets import MultiJet, TaylorJet, compose, compose_multi, invert_series
+from .jets import MultiJet, TaylorJet, compose, compose_many, invert_series
 from .symplectic import ContactSpace, SymplecticSpace
 
 
@@ -94,6 +94,19 @@ CHARTS = {
     "contact-surface": lambda n=1: contact_surface_chart(),
     "contact-function": lambda n=1: contact_function_chart(),
 }
+
+
+def n_independent(geometry, n):
+    """``CHARTS[geometry](n).n_independent`` without building the chart."""
+    return {"curve": 1, "function": 2 * n, "hypersurface": 2 * n - 1, "surface": 2,
+            "contact-curve": 1, "contact-surface": 2, "contact-function": 3}[geometry]
+
+
+def default_order(geometry, n):
+    """Jet order of the `invariants`, `signature` and `check` commands."""
+    if geometry in ("curve", "contact-curve"):
+        return 2 * n + 4
+    return 6
 
 
 # --- jet points --------------------------------------------------------------
@@ -350,20 +363,17 @@ def pushforward(point, element):
         raise GraphDegeneracy(
             f"transformed submanifold is not a graph over {chart.independent_names()}: {err}"
         ) from err
-    new_jets = {}
-    for name in chart.dependent:
-        if chart.kind == "submanifold":
-            img_jet = image[chart.space.index(name)]
-        else:
-            img_jet = point.jets[name]
-        if p == 1:
-            new_jets[name] = compose(img_jet, inv)
-        else:
-            new_jets[name] = compose_multi(_to_multi(img_jet), inv)
+    if chart.kind == "submanifold":
+        img_jets = [image[chart.space.index(name)] for name in chart.dependent]
+    else:
+        img_jets = [point.jets[name] for name in chart.dependent]
     if p == 1:
+        moved = [compose(j, inv) for j in img_jets]
         new_base = (inv.basepoint,)
     else:
+        moved = compose_many([_to_multi(j) for j in img_jets], inv)
         new_base = inv[0].basepoint
+    new_jets = dict(zip(chart.dependent, moved))
     return JetPoint(chart, new_base, new_jets, point.order, point.exact)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DegenerateJet, StepDegenerate
 from .geometry import Derivation, jet_partial
 from .jetlinalg import _PivotFailure, is_negligible, kernel_vector, magnitude, solve
+from .jets import divide_all
 
 
 class HyperFrame:
@@ -124,7 +125,7 @@ def canonical_frame(point):
         pairing = omega_with_v0(raw) if prev_even is None else omega_t(prev_even, raw)
         if is_negligible(pairing):
             raise StepDegenerate(step, "normalizing pairing vanishes")
-        v[step] = [x / pairing for x in raw]
+        v[step] = divide_all(raw, pairing)
         # cut the working space by the previous even vector (v0 at the start)
         if d == 1:
             break
@@ -172,13 +173,10 @@ def _reduce_space(working, rho, step):
     piv = int(np.argmax(mags))
     if is_negligible(rho[piv], max(mags)):
         raise StepDegenerate(step, "cutting functional vanishes on the working space")
-    out = []
-    for i, w in enumerate(working):
-        if i == piv:
-            continue
-        f = rho[i] / rho[piv]
-        out.append([a - f * b for a, b in zip(w, working[piv])])
-    return out
+    rest = [i for i in range(len(working)) if i != piv]
+    factors = divide_all([rho[i] for i in rest], rho[piv])
+    return [[a - f * b for a, b in zip(working[i], working[piv])]
+            for i, f in zip(rest, factors)]
 
 
 def derivations(frame):

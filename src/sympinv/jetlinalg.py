@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .jets import _const_like, divide_all
+
 
 class _PivotFailure(Exception):
     pass
@@ -50,7 +52,7 @@ def solve(rows, rhs, tol=1e-10):
             raise _PivotFailure(f"no usable pivot in column {col}")
         a[col], a[piv] = a[piv], a[col]
         pval = a[col][col]
-        a[col] = [v / pval for v in a[col]]
+        a[col] = divide_all(a[col], pval)
         for r in range(n):
             if r == col:
                 continue
@@ -80,7 +82,7 @@ def kernel_vector(rows, tol=1e-10):
             continue
         a[row], a[piv] = a[piv], a[row]
         pval = a[row][col]
-        a[row] = [v / pval for v in a[row]]
+        a[row] = divide_all(a[row], pval)
         for r in range(n):
             if r == row:
                 continue
@@ -120,7 +122,7 @@ def nullspace_basis(rows, ncols, tol=1e-10):
             continue
         a[row], a[piv] = a[piv], a[row]
         pval = a[row][col]
-        a[row] = [v / pval for v in a[row]]
+        a[row] = divide_all(a[row], pval)
         for r in range(len(a)):
             if r != row:
                 f = a[r][col]
@@ -149,8 +151,6 @@ def _unit_like(rows):
     for r in rows:
         for e in r:
             if hasattr(e, "value"):
-                from .jets import _const_like  # late import, avoids cycle
-
                 return _const_like(e, _one_scalar(e.value()))
     return 1.0
 

@@ -18,6 +18,14 @@ constructor's conversions and passes the left operand's basepoint object
 along; operands that share that object skip the basepoint tolerance check.
 Public construction rejects a non-finite basepoint, so a shared object is
 always a valid one.
+
+Composition with an inner map g takes the monomial jets h^sigma of
+h = g - g(0) once and evaluates every outer against them (``compose_many``):
+the inversion composes all p components of its nonlinear part with the same
+inner map on each pass, and a pushforward all dependent jets.  In float mode
+the monomial jets are the rows of one array and the outers meet it in one
+``np.einsum`` contraction rather than a BLAS ``gemm``, so results do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -485,6 +493,19 @@ def _one_like(x):
     return x * 0 + 1
 
 
+def divide_all(values, divisor):
+    """``[v / divisor for v in values]``, with one reciprocal for a jet divisor.
+
+    On a jet divisor d, ``v / d`` is ``v * d.reciprocal()`` for a jet v and
+    ``d.reciprocal() * v`` for a scalar v, so the results are the same bits.
+    A scalar divisor keeps ``/``: float a / b and a * (1 / b) differ.
+    """
+    if not _is_jet(divisor):
+        return [v / divisor for v in values]
+    inv = divisor.reciprocal()
+    return [v * inv if _is_jet(v) else inv * v for v in values]
+
+
 def _const_like(jet, value):
     if isinstance(jet, TaylorJet):
         return TaylorJet.constant(value, jet.order, jet.basepoint, exact=jet.exact)
@@ -690,36 +711,77 @@ def compose(outer, inner):
 
 def compose_multi(outer, inners):
     """Jet of outer(g_1(y),...,g_p(y)) for MultiJet outer in p variables."""
+    return compose_many([outer], inners)[0]
+
+
+def compose_many(outers, inners):
+    """Jets of outer(g_1(y),...,g_p(y)) for every MultiJet outer in p variables.
+
+    With h = g - g(0), the composite is sum_sigma c_sigma h^sigma, and the
+    monomial jets h^sigma depend on the inners alone: they are built once,
+    each as h^parent * h_first along ``_tables.compose_plan``, and every
+    outer is evaluated against them.  Result i has order
+    min(outers[i].order, order of the inners), the basepoint object of the
+    first inner, and equals ``compose_multi(outers[i], inners)``.
+
+    Float mode stacks the monomial jets as the rows of one array and takes
+    all outers in one contraction ``np.einsum("km,mn->kn", C, M)``.  einsum
+    without ``optimize`` runs numpy's own loop in a fixed order, whereas
+    ``C @ M`` goes to the BLAS ``gemm``, whose rounding depends on its thread
+    count.  Exact mode sums ``acc + h^sigma * c_sigma`` in monomial order.
+    """
+    outers = list(outers)
     inners = list(inners)
-    if len(inners) != outer.nvars:
-        raise TypeError(f"outer expects {outer.nvars} inner jets, got {len(inners)}")
-    exact = outer.exact or any(g.exact for g in inners)
-    for bp, g in zip(outer.basepoint, inners):
-        if not _same_base(g.value(), bp, exact):
-            raise BasepointMismatch(
-                f"inner value {g.value()!r} != outer basepoint coordinate {bp!r}"
-            )
-    order = min([outer.order] + [g.order for g in inners])
+    if inners and all(isinstance(g, TaylorJet) for g in inners):
+        res = compose_many(outers, [_taylor_to_multi(g) for g in inners])
+        return [r.restrict_to_var(0) for r in res]
+    p = len(inners)
+    exact = any(o.exact for o in outers) or any(g.exact for g in inners)
+    for outer in outers:
+        if outer.nvars != p:
+            raise TypeError(f"outer expects {outer.nvars} inner jets, got {p}")
+        for c, g in zip(outer.basepoint, inners):
+            if not _same_base(g.value(), c, exact):
+                raise BasepointMismatch(
+                    f"inner value {g.value()!r} != outer basepoint coordinate {c!r}"
+                )
+    if not outers:
+        return []
+    inner_order = min(g.order for g in inners)
+    orders = [min(o.order, inner_order) for o in outers]
+    order = max(orders)
     hs = [(g - g.value()).truncate(order) for g in inners]
-    mons = _tables.monomials(outer.nvars, outer.order)
-    acc = _const_like(hs[0], outer.coeffs[0])
-    memo = {}
-    for pos_idx, sigma in enumerate(mons):
-        deg = sum(sigma)
-        if deg == 0 or deg > order:
-            continue
-        first = next(k for k, e in enumerate(sigma) if e > 0)
-        parent = tuple(e - 1 if k == first else e for k, e in enumerate(sigma))
-        if sum(parent) == 0:
-            mono_jet = hs[first]
-        else:
-            mono_jet = memo[parent] * hs[first]
-        memo[sigma] = mono_jet
-        c = outer.coeffs[pos_idx]
-        if not exact and c == 0.0:
-            continue
-        acc = acc + mono_jet * c
-    return acc
+    first, parent = _tables.compose_plan(p, order)
+    n_rows = len(first)
+
+    if exact:
+        monos = [None] * n_rows
+        for r in range(1, n_rows):
+            h = hs[first[r]]
+            monos[r] = h if parent[r] == 0 else monos[parent[r]] * h
+        out = []
+        for outer, k in zip(outers, orders):
+            acc = _const_like(hs[0].truncate(k), outer.coeffs[0])
+            for r in range(1, _tables.count(p, k)):
+                acc = acc + monos[r].truncate(k) * outer.coeffs[r]
+            out.append(acc)
+        return out
+
+    nvars = hs[0].nvars
+    n_cols = _tables.count(nvars, order)
+    pi, pj, pr = _tables.product_table(nvars, order)
+    basis = np.zeros((n_rows, n_cols))
+    basis[0, 0] = 1.0
+    for r in range(1, n_rows):
+        h = hs[first[r]].coeffs
+        basis[r] = h if parent[r] == 0 else mul_table(basis[parent[r]], h, pi, pj, pr, n_cols)
+    stacked = np.zeros((len(outers), n_rows))
+    for i, (outer, k) in enumerate(zip(outers, orders)):
+        m = _tables.count(p, k)
+        stacked[i, :m] = outer.coeffs[:m]
+    res = np.einsum("km,mn->kn", stacked, basis)
+    return [hs[0]._new(row[: _tables.count(nvars, k)], k, False)
+            for row, k in zip(res, orders)]
 
 
 def _linear_part_matrix(jets):
@@ -798,7 +860,7 @@ def _invert_multi(jets):
     t_cur = affine_step([y.truncate(1) for y in y_shift])
     for k in range(2, order + 1):
         t_in = [_zero_padded(t, k) for t in t_cur]
-        n_of_t = [compose_multi(n_parts[i], t_in) for i in range(p)]
+        n_of_t = compose_many(n_parts, t_in)
         t_cur = affine_step([y_shift[j] - n_of_t[j] for j in range(p)])
     return t_cur
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _tables
 from .errors import ExprError, JobError
 from .exprs import parse as parse_expr
 from .exprs import to_text as expr_text
-from .geometry import CHARTS
+from .geometry import CHARTS, default_order, n_independent
 
 _FLAVORS = {
     "curve": ("sp", "csp", "asp", "acsp"),
@@ -24,6 +25,12 @@ _FLAVORS = {
     "contact-surface": ("contact-csp",),
     "contact-function": ("contact-csp",),
 }
+
+# Largest product table (``_tables.pair_count`` at the default order) a job
+# may need.  The table is built in Python lists before any sample runs:
+# hypersurface n = 4 needs 38760 pairs, function n = 4 74613 and function
+# n = 10 over 9 million, which can exhaust memory.
+MAX_PRODUCT_PAIRS = 50_000
 
 # Header keys a job may set; geometry and flavor have no default.
 HEADER_KEYS = ("geometry", "flavor", "n", "window", "samples", "depth", "seed", "format")
@@ -104,6 +111,13 @@ class JobSpec:
                 raise JobError(f"geometry {geometry!r} fixes n", field="n")
         if flavor in ("csp", "asp", "acsp") and n != 1:
             raise JobError("extended flavors are implemented for n = 1", field="flavor")
+        p, order = n_independent(geometry, n), default_order(geometry, n)
+        pairs = _tables.pair_count(p, order)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise JobError(
+                f"n = {n} is too large for geometry {geometry!r}: order-{order} jets in {p}"
+                f" variables need a {pairs}-pair product table (limit {MAX_PRODUCT_PAIRS})",
+                field="n")
         window = keys["window"]
         if isinstance(window, str):
             try:

@@ -22,7 +22,7 @@ from . import functions as fn_mod
 from . import hypersurfaces as hyp_mod
 from . import surfaces as srf_mod
 from .errors import AllSamplesDegenerate, GeometryError, IncomparableClouds, JetError
-from .geometry import CHARTS, JetPoint, apply_word, parametric_curve_point
+from .geometry import CHARTS, JetPoint, apply_word, default_order, parametric_curve_point
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def _probe_generator_names(geometry, flavor, n):
         rng = np.random.default_rng(12345)
         for _ in range(20):
             try:
-                point = JetPoint.random(CHARTS[geometry](n), _default_order(geometry, n), rng)
+                point = JetPoint.random(CHARTS[geometry](n), default_order(geometry, n), rng)
                 gens, ders = ev(point)
                 _PROBE_CACHE[key] = (tuple(gens.keys()), len(ders))
                 break
@@ -167,12 +167,6 @@ def _probe_generator_names(geometry, flavor, n):
         else:
             raise AllSamplesDegenerate("could not probe the generator recipe")
     return _PROBE_CACHE[key]
-
-
-def _default_order(geometry, n):
-    if geometry in ("curve", "contact-curve"):
-        return 2 * n + 4
-    return 6
 
 
 def psi_values(point, geometry, flavor, n, depth):
@@ -206,7 +200,7 @@ def signature_of(defs, geometry, flavor, n=None, samples=64, depth=1,
     if n is None:
         n = 1
     chart = CHARTS[geometry](n)
-    order = order if order is not None else _default_order(geometry, n)
+    order = order if order is not None else default_order(geometry, n)
     rng = np.random.default_rng(seed)
     p_indep = chart.n_independent
     lo, hi = window

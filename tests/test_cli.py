@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympinv import _tables
 from sympinv.cli import main
 from sympinv.errors import JobError
-from sympinv.jobs import JobSpec
+from sympinv.geometry import CHARTS, default_order, n_independent
+from sympinv.jobs import MAX_PRODUCT_PAIRS, JobSpec
 
 PARABOLA = """\
 geometry = curve
@@ -76,6 +78,29 @@ class TestJobSpec:
     def test_invalid_header(self, old, new):
         with pytest.raises(JobError):
             JobSpec.from_text(PARABOLA.replace(old, new))
+
+    @pytest.mark.parametrize("geometry,n,body", [
+        ("function", 4, "u = x1"), ("function", 10, "u = x1"),
+        ("hypersurface", 5, "u = x1"), ("curve", 156, "y = x"),
+    ])
+    def test_n_beyond_the_product_table_limit(self, geometry, n, body):
+        text = f"geometry = {geometry}\nflavor = sp\nn = {n}\nexprs:\n  {body}\n"
+        with pytest.raises(JobError, match="too large"):
+            JobSpec.from_text(text)
+
+    @pytest.mark.parametrize("geometry,n", [("function", 3), ("hypersurface", 4), ("curve", 155)])
+    def test_largest_n_within_the_limit_is_accepted(self, geometry, n):
+        chart = CHARTS[geometry](n)
+        body = "\n".join(f"  {name} = 1" for name in chart.dependent)
+        job = JobSpec.from_text(f"geometry = {geometry}\nflavor = sp\nn = {n}\nexprs:\n{body}\n")
+        order = default_order(geometry, n)
+        pairs = _tables.pair_count(chart.n_independent, order)
+        assert job.n == n and pairs <= MAX_PRODUCT_PAIRS
+
+    def test_n_independent_matches_the_charts(self):
+        for geometry, chart_of in CHARTS.items():
+            for n in range(1, 5):
+                assert n_independent(geometry, n) == chart_of(n).n_independent
 
     def test_window_round_trips_exactly(self):
         job = JobSpec.from_text(PARABOLA.replace("window = 1:2", "window = 0.1234567:1.1"))
@@ -162,6 +187,19 @@ class TestInvariantsCommand:
         path = write(tmp_path, "bad.job", PARABOLA.replace(old, new))
         assert main(["invariants", "--job", path]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_large_n_exits_2_without_building_a_table(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"table built for {args}")
+
+        for name in ("monomials", "index_of", "count", "product_table", "partial_table"):
+            monkeypatch.setattr(_tables, name, refuse)
+        text = PARABOLA.replace("geometry = curve", "geometry = function").replace(
+            "n = 1", "n = 10").replace("y = x^2", "u = x1")
+        path = write(tmp_path, "big.job", text)
+        assert main(["invariants", "--job", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too large" in err
 
     def test_all_degenerate_exits_3(self, tmp_path, capsys):
         path = write(tmp_path, "line.job", PARABOLA.replace("y = x^2", "y = x"))

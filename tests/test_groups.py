@@ -1,5 +1,6 @@
 """Symplectic/contact algebra, group sampling, pushforward and orbit ranks."""
 
+import os
 import subprocess
 import sys
 
@@ -224,6 +225,28 @@ class TestPushforward:
                 a = np.asarray(lhs.jets[name].coeffs, dtype=float)
                 b = np.asarray(rhs.jets[name].coeffs, dtype=float)
                 assert np.allclose(a, b, rtol=1e-9, atol=1e-9)
+
+    def test_float_pushforward_ignores_blas_thread_count(self):
+        # p = 5 independent variables at order 6: the inversion composes 5
+        # outers at once, where a BLAS gemm rounds by its thread count
+        script = (
+            "import numpy as np\n"
+            "from sympinv.geometry import JetPoint, hypersurface_chart, pushforward\n"
+            "from sympinv.symplectic import random_group_element\n"
+            "chart = hypersurface_chart(3)\n"
+            "pt = JetPoint.random(chart, 6, np.random.default_rng(3))\n"
+            "out = pushforward(pt, random_group_element(chart.space, 'sp', 4))\n"
+            "print(' '.join(float(c).hex() for c in out.basepoint))\n"
+            "print(' '.join(float(c).hex() for c in out.jets['u'].coeffs))\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(proc.stdout)
+        assert len(outputs[0].split()) == 5 + 462
+        assert outputs[0] == outputs[1]
 
     def test_graph_degeneracy_raises(self):
         chart = curve_chart(1)

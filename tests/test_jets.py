@@ -300,6 +300,33 @@ def test_jet_value_equals_polynomial_value(coeffs, t0):
 # references for the replaced algorithms
 # ---------------------------------------------------------------------------
 
+def per_outer_compose(outer, inners):
+    """Jet of outer(g_1(y),...,g_p(y)) with the monomial jets rebuilt per outer."""
+    inners = list(inners)
+    exact = outer.exact or any(g.exact for g in inners)
+    order = min([outer.order] + [g.order for g in inners])
+    hs = [(g - g.value()).truncate(order) for g in inners]
+    mons = _tables.monomials(outer.nvars, outer.order)
+    acc = jets._const_like(hs[0], outer.coeffs[0])
+    memo = {}
+    for pos_idx, sigma in enumerate(mons):
+        deg = sum(sigma)
+        if deg == 0 or deg > order:
+            continue
+        first = next(k for k, e in enumerate(sigma) if e > 0)
+        parent = tuple(e - 1 if k == first else e for k, e in enumerate(sigma))
+        if sum(parent) == 0:
+            mono_jet = hs[first]
+        else:
+            mono_jet = memo[parent] * hs[first]
+        memo[sigma] = mono_jet
+        c = outer.coeffs[pos_idx]
+        if not exact and c == 0.0:
+            continue
+        acc = acc + mono_jet * c
+    return acc
+
+
 def fixed_point_inverse(maps):
     """Inverse jet map by K - 1 fixed-point passes, each at full order."""
     p = len(maps)
@@ -332,7 +359,7 @@ def fixed_point_inverse(maps):
 
     t_cur = affine_step(y_shift)
     for _ in range(max(order - 1, 0)):
-        n_of_t = [compose_multi(n_parts[i], t_cur) for i in range(p)]
+        n_of_t = [per_outer_compose(n_parts[i], t_cur) for i in range(p)]
         t_cur = affine_step([y_shift[j] - n_of_t[j] for j in range(p)])
     return t_cur
 
@@ -376,7 +403,71 @@ def random_map(rng, p, order, exact=False):
     return out
 
 
+def random_composition(rng, p, order, mode, n_outers=4):
+    """Outers of mixed orders in p variables and p inners of orders K, K + 1.
+
+    ``mode`` is "float", "fraction" or "dual"; in "dual" mode every
+    coefficient past the constant term carries an epsilon part.
+    """
+    from sympinv.rational import Dual
+
+    exact = mode != "float"
+    if exact:
+        def draw():
+            return Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+    else:
+        def draw():
+            return float(rng.uniform(-1, 1))
+
+    def coeffs(n, value):
+        rest = [Dual(draw(), draw()) if mode == "dual" else draw() for _ in range(n - 1)]
+        return [value] + rest
+
+    base = tuple(draw() for _ in range(p))
+    values = tuple(draw() for _ in range(p))
+    inner_orders = [order] + [int(k) for k in rng.integers(order, order + 2, size=p - 1)]
+    inners = [MultiJet(p, k, coeffs(_tables.count(p, k), v), base, exact=exact)
+              for k, v in zip(rng.permutation(inner_orders), values)]
+    outer_orders = [0, order + 1] + [int(k) for k in rng.integers(1, order + 2, size=n_outers - 2)]
+    outers = [MultiJet(p, k, coeffs(_tables.count(p, k), draw()), values, exact=exact)
+              for k in outer_orders]
+    return outers, inners
+
+
 class TestReplacedAlgorithms:
+    @pytest.mark.parametrize("mode,p,order", [
+        ("float", 1, 6), ("float", 2, 6), ("float", 3, 6), ("float", 4, 6), ("float", 5, 6),
+        ("fraction", 1, 6), ("fraction", 2, 5), ("fraction", 3, 4), ("fraction", 4, 3),
+        ("fraction", 5, 3), ("dual", 1, 5), ("dual", 2, 4), ("dual", 3, 3), ("dual", 5, 2),
+    ])
+    def test_compose_many_matches_per_outer(self, mode, p, order):
+        rng = np.random.default_rng(400 + 10 * p + order)
+        outers, inners = random_composition(rng, p, order, mode)
+        got = jets.compose_many(outers, inners)
+        assert len(got) == len(outers)
+        for g, outer in zip(got, outers):
+            want = per_outer_compose(outer, inners)
+            assert g.order == want.order == min(outer.order, order)
+            assert g.basepoint is want.basepoint
+            assert g.exact == want.exact
+            if mode == "float":
+                assert_float_close(g.coeffs, want.coeffs)
+            else:
+                assert g.coeffs == want.coeffs
+
+    def test_compose_many_of_univariate_inner(self):
+        rng = np.random.default_rng(41)
+        for exact in (False, True):
+            outers, (inner,) = random_composition(rng, 1, 5, "fraction" if exact else "float")
+            uni = inner.restrict_to_var(0)
+            for got, outer in zip(jets.compose_many(outers, [uni]), outers):
+                want = compose(outer.restrict_to_var(0), uni)
+                assert isinstance(got, TaylorJet) and got.order == want.order
+                if exact:
+                    assert got.coeffs == want.coeffs
+                else:
+                    assert_float_close(got.coeffs, want.coeffs)
+
     @pytest.mark.parametrize("p,order", [(1, 6), (2, 4), (3, 3)])
     def test_inverse_equals_fixed_point_exact(self, p, order):
         rng = np.random.default_rng(100 + 10 * p + order)
@@ -451,15 +542,23 @@ class TestInversionWork:
         maps = random_map(np.random.default_rng(5), 5, 6)
         invert_series(maps)
         new_calls, new_madds = len(calls), sum(calls)
-        # pass k composes 5 outer jets, each with one product per monomial of
-        # degree 2..k, at order k
-        assert new_calls == 5 * sum(_tables.count(5, k) - 6 for k in range(2, 7)) == 4435
-        assert new_madds == 5 * sum((_tables.count(5, k) - 6) * len(_tables.product_table(5, k)[0])
-                                    for k in range(2, 7)) == 22628980
+        # pass k builds the monomial jets of degree 2..k once, one product
+        # each at order k, and shares them among the 5 outer jets (composing
+        # each outer on its own took 5 times as many: 4435 calls and
+        # 22,628,980 madds)
+        assert new_calls == sum(_tables.count(5, k) - 6 for k in range(2, 7)) == 887
+        assert new_madds == sum((_tables.count(5, k) - 6) * len(_tables.product_table(5, k)[0])
+                                for k in range(2, 7)) == 4525796
         calls.clear()
         fixed_point_inverse(maps)
         assert len(calls) == 5 * 5 * (_tables.count(5, 6) - 6) == 11400
         assert sum(calls) > 2 * new_madds
+
+
+def test_pair_count_is_the_product_table_length():
+    for nvars in range(1, 5):
+        for order in range(6):
+            assert _tables.pair_count(nvars, order) == len(_tables.product_table(nvars, order)[0])
 
 
 class TestBasepoints:
