@@ -1,11 +1,19 @@
 """Cached multi-index layouts for dense truncated multivariate series.
 
 Coefficients of a series in ``p`` variables truncated at total order ``K`` are
-stored as a flat vector over the graded-lex monomial list produced here.  The
-product table enumerates every ordered coefficient pair that contributes to the
-truncated product; :func:`sympinv.kernels.mul_table` consumes it.  The compose
-plan gives each monomial's parent in the recursion that builds the monomial
-jets of a composition.
+stored as a flat vector over the graded-lex monomial list produced here; the
+layout of a lower order is a prefix of that of a higher one.  The product
+table enumerates every ordered coefficient pair that contributes to the
+truncated product; :func:`sympinv.kernels.mul_table` consumes it.  Its pairs
+are i-major, so the pairs whose first factor has degree >= d form a suffix,
+which :func:`suffix_tables` hands out as cached views.  The compose plan gives
+each monomial's parent in the recursion that builds the monomial jets of a
+composition.
+
+The product and partial tables are built with numpy: the target slot of an
+exponent sum is found through mixed-radix monomial keys (base order + 1, so a
+sum of two exponents of total degree <= order never carries), looked up with
+``argsort``/``searchsorted``.
 """
 
 import math
@@ -44,28 +52,49 @@ def count(nvars, order):
 
 
 @lru_cache(maxsize=None)
+def degrees(nvars, order):
+    """Total degree of every monomial of the order-``order`` layout."""
+    return tuple(sum(m) for m in monomials(nvars, order))
+
+
+def _keys(nvars, order):
+    """Mixed-radix keys of the monomials and the weight of each variable.
+
+    With base order + 1 the key of a sum of two exponents of total degree
+    <= order is the sum of their keys.  Keys must fit in int64.
+    """
+    if (order + 1) ** nvars >= 2 ** 62:
+        raise ValueError(f"monomial keys for {nvars} variables at order {order} overflow int64")
+    weights = (order + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+    exps = np.array(monomials(nvars, order), dtype=np.int64).reshape(-1, nvars)
+    return exps @ weights, weights
+
+
+def _slots(keys, targets):
+    """Index of each target key in ``keys`` (every target must occur)."""
+    perm = np.argsort(keys)
+    found = np.searchsorted(keys[perm], targets)
+    return perm[found]
+
+
+@lru_cache(maxsize=None)
 def product_table(nvars, order):
     """Ordered pairs (i, j) with deg_i + deg_j <= order and their target slot r.
 
     Returns three int64 arrays (pi, pj, pr) such that the truncated product is
-    out[pr[t]] += a[pi[t]] * b[pj[t]] over all t.
+    out[pr[t]] += a[pi[t]] * b[pj[t]] over all t.  Pairs are i-major and j
+    runs in layout order: the partners of i are the first
+    count(nvars, order - deg_i) monomials.
     """
-    mons = monomials(nvars, order)
-    pos = index_of(nvars, order)
-    pi, pj, pr = [], [], []
-    for i, a in enumerate(mons):
-        da = sum(a)
-        for j, b in enumerate(mons):
-            if da + sum(b) > order:
-                continue
-            pi.append(i)
-            pj.append(j)
-            pr.append(pos[tuple(x + y for x, y in zip(a, b))])
-    return (
-        np.asarray(pi, dtype=np.int64),
-        np.asarray(pj, dtype=np.int64),
-        np.asarray(pr, dtype=np.int64),
-    )
+    deg = np.array(degrees(nvars, order), dtype=np.int64)
+    widths = np.array([count(nvars, order - d) for d in range(order + 1)], dtype=np.int64)[deg]
+    pi = np.repeat(np.arange(len(deg), dtype=np.int64), widths)
+    pj = np.arange(len(pi), dtype=np.int64)
+    pj -= np.repeat(np.cumsum(widths) - widths, widths)
+    keys, _ = _keys(nvars, order)
+    target = keys[pi]
+    target += keys[pj]
+    return pi, pj, _slots(keys, target)
 
 
 def pair_count(nvars, order):
@@ -75,6 +104,20 @@ def pair_count(nvars, order):
     2 * nvars variables, so there are C(2 * nvars + order, order) of them.
     """
     return math.comb(2 * nvars + order, order)
+
+
+@lru_cache(maxsize=None)
+def suffix_tables(nvars, order):
+    """Views of ``product_table(nvars, order)`` by the degree of the first factor.
+
+    Entry d is (pi[s:], pj[s:], pr[s:]), where s is the first pair whose i has
+    degree >= d.  A product whose left factor vanishes below degree d gets
+    only +-0 terms from the pairs before s.
+    """
+    pi, pj, pr = product_table(nvars, order)
+    # count(nvars, d - 1) is the index of the first monomial of degree d
+    starts = np.searchsorted(pi, [count(nvars, d - 1) for d in range(order + 1)])
+    return tuple((pi[s:], pj[s:], pr[s:]) for s in starts)
 
 
 @lru_cache(maxsize=None)
@@ -105,20 +148,9 @@ def partial_table(nvars, order, direction):
     with sigma_i >= 1, the coefficient at src lands at position dst of the
     order-(K-1) layout scaled by mult = sigma_i.
     """
-    mons = monomials(nvars, order)
-    pos_lower = index_of(nvars, order - 1)
-    src, dst, mult = [], [], []
-    for i, m in enumerate(mons):
-        if m[direction] == 0:
-            continue
-        lowered = tuple(e - (1 if k == direction else 0) for k, e in enumerate(m))
-        if sum(lowered) > order - 1:
-            continue
-        src.append(i)
-        dst.append(pos_lower[lowered])
-        mult.append(m[direction])
-    return (
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        np.asarray(mult, dtype=np.float64),
-    )
+    exps = np.array(monomials(nvars, order), dtype=np.int64).reshape(-1, nvars)
+    src = np.flatnonzero(exps[:, direction])
+    keys, weights = _keys(nvars, order)
+    # the order-(K-1) layout is a prefix of the order-K one
+    dst = _slots(keys, keys[src] - weights[direction])
+    return src, dst, exps[src, direction].astype(np.float64)

@@ -288,6 +288,8 @@ def _check_syzygy(args):
 
 
 def cmd_check(args):
+    if args.seed < 0:
+        raise JobError("must be >= 0", field="--seed")
     if args.suite == "counting":
         failures = _check_counting(args)
     elif args.suite == "invariance":

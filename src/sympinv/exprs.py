@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jets
-from .errors import ArityError, ExprSyntaxError, UnboundVariable, UnknownFunction
+from .errors import ArityError, DomainError, ExprSyntaxError, UnboundVariable, UnknownFunction
 
 _FUNCTIONS = {
     "sin": jets.sin,
@@ -421,9 +421,16 @@ def _scalar_pow(base, e):
 
 
 def evaluate(ast, env):
-    """Evaluate on scalars or jets; every free variable must be bound."""
+    """Evaluate on scalars or jets; every free variable must be bound.
+
+    A value beyond the float range (``exp(800)``, ``2^2000``) raises
+    DomainError, so a caller treats it as it treats any other domain error.
+    """
     exact = _wants_exact(env)
     for name in ast.free_vars:
         if name not in env:
             raise UnboundVariable(f"unbound variable {name!r}")
-    return _eval_node(ast.root, env, exact)
+    try:
+        return _eval_node(ast.root, env, exact)
+    except OverflowError as err:
+        raise DomainError(f"value out of the float range: {err}") from None

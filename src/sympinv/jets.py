@@ -25,7 +25,10 @@ the inversion composes all p components of its nonlinear part with the same
 inner map on each pass, and a pushforward all dependent jets.  In float mode
 the monomial jets are the rows of one array and the outers meet it in one
 ``np.einsum`` contraction rather than a BLAS ``gemm``, so results do not
-depend on the BLAS thread count.
+depend on the BLAS thread count.  A row of degree d vanishes below degree d,
+so its product runs over the suffix of the product table whose left factor
+has degree >= d - 1 (``_tables.suffix_tables``); the pairs it skips add
+exact zeros, so every coefficient keeps its bits.
 """
 
 from __future__ import annotations
@@ -617,11 +620,16 @@ def _analytic(x, float_fn, series_fn, exact_ok=False, name=""):
         if x.exact and not exact_ok:
             raise DomainError(f"{name} is not available in exact mode")
         c0 = x.coeffs[0]
+        if not x.exact and not math.isfinite(c0):
+            raise DomainError(f"{name} of a non-finite value")
         coeffs = series_fn(c0, x.order, x.exact)
         return _horner(x - c0, coeffs)
     if isinstance(x, Fraction) and not exact_ok:
         raise DomainError(f"{name} is not available in exact mode")
-    return float_fn(float(x))
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} of a non-finite value")
+    return float_fn(x)
 
 
 def exp(x):
@@ -729,6 +737,14 @@ def compose_many(outers, inners):
     without ``optimize`` runs numpy's own loop in a fixed order, whereas
     ``C @ M`` goes to the BLAS ``gemm``, whose rounding depends on its thread
     count.  Exact mode sums ``acc + h^sigma * c_sigma`` in monomial order.
+
+    A row of degree d >= 2 is h^parent * h_first over the pairs whose first
+    factor has degree >= d - 1, a cached suffix of the product table: the
+    degree is read from the outers' p-variable layout, the suffix from the
+    inners' layout.  h has an exact zero constant term, so for finite
+    coefficients h^parent is exactly zero below degree d - 1 and every
+    skipped pair adds a +-0 product; ``np.bincount`` adds the kept pairs in
+    the same order, so each coefficient has the bits of the whole-table sum.
     """
     outers = list(outers)
     inners = list(inners)
@@ -769,12 +785,16 @@ def compose_many(outers, inners):
 
     nvars = hs[0].nvars
     n_cols = _tables.count(nvars, order)
-    pi, pj, pr = _tables.product_table(nvars, order)
+    suffixes = _tables.suffix_tables(nvars, order)
+    deg = _tables.degrees(p, order)
     basis = np.zeros((n_rows, n_cols))
     basis[0, 0] = 1.0
     for r in range(1, n_rows):
         h = hs[first[r]].coeffs
-        basis[r] = h if parent[r] == 0 else mul_table(basis[parent[r]], h, pi, pj, pr, n_cols)
+        if parent[r] == 0:
+            basis[r] = h
+        else:
+            basis[r] = mul_table(basis[parent[r]], h, *suffixes[deg[r] - 1], n_cols)
     stacked = np.zeros((len(outers), n_rows))
     for i, (outer, k) in enumerate(zip(outers, orders)):
         m = _tables.count(p, k)

@@ -27,9 +27,9 @@ _FLAVORS = {
 }
 
 # Largest product table (``_tables.pair_count`` at the default order) a job
-# may need.  The table is built in Python lists before any sample runs:
-# hypersurface n = 4 needs 38760 pairs, function n = 4 74613 and function
-# n = 10 over 9 million, which can exhaust memory.
+# may need.  The table is built before any sample runs: hypersurface n = 4
+# needs 38760 pairs, function n = 4 74613 and function n = 10 over 9 million,
+# whose three int64 arrays alone take 225 MB.
 MAX_PRODUCT_PAIRS = 50_000
 
 # Header keys a job may set; geometry and flavor have no default.

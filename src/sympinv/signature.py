@@ -233,8 +233,18 @@ def signature_of(defs, geometry, flavor, n=None, samples=64, depth=1,
 
 # --- comparison ------------------------------------------------------------------
 
+_HAUSDORFF_ROWS = 128  # rows of a per block of squared distances
+
+
 def hausdorff_distance(cloud_a, cloud_b):
-    """Symmetric Hausdorff distance after per-coordinate diameter normalization."""
+    """Symmetric Hausdorff distance after per-coordinate diameter normalization.
+
+    The squared distances are formed for blocks of rows of ``a``, so the
+    temporary is (block, M, r) rather than (N, M, r).  Each entry uses the
+    same formula as the whole matrix, and the running maximum and column
+    minimum (``np.maximum``/``np.minimum``, which keep a NaN) select rather
+    than round, so the result has the bits of the unblocked computation.
+    """
     a = np.asarray(cloud_a.points, dtype=float)
     b = np.asarray(cloud_b.points, dtype=float)
     both = np.vstack([a, b])
@@ -242,9 +252,13 @@ def hausdorff_distance(cloud_a, cloud_b):
     span[span == 0] = 1.0
     an = a / span
     bn = b / span
-    d2 = np.sum((an[:, None, :] - bn[None, :, :]) ** 2, axis=2)
-    forward = np.max(np.min(d2, axis=1))
-    backward = np.max(np.min(d2, axis=0))
+    forward = -np.inf
+    col_min = np.full(len(bn), np.inf)
+    for start in range(0, len(an), _HAUSDORFF_ROWS):
+        d2 = np.sum((an[start:start + _HAUSDORFF_ROWS, None, :] - bn[None, :, :]) ** 2, axis=2)
+        forward = np.maximum(forward, np.max(np.min(d2, axis=1)))
+        np.minimum(col_min, np.min(d2, axis=0), out=col_min)
+    backward = np.max(col_min)
     return float(np.sqrt(max(forward, backward)))
 
 

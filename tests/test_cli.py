@@ -1,8 +1,11 @@
 """Job files and the command-line front end."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -117,17 +120,22 @@ _JOBS = {  # geometry -> (flavor, expression block)
 }
 
 
+_WINDOWS = st.tuples(_WINDOW_BOUNDS, _WINDOW_BOUNDS).filter(lambda w: w[0] < w[1])
+
+
+def job_text(geometry, bounds, samples, depth, seed, fmt):
+    flavor, body = _JOBS[geometry]
+    return (f"geometry = {geometry}\nflavor = {flavor}\nwindow = {bounds[0]!r}:{bounds[1]!r}\n"
+            f"samples = {samples}\ndepth = {depth}\nseed = {seed}\nformat = {fmt}\n"
+            f"exprs:\n  {body}\n")
+
+
 @settings(max_examples=60, deadline=None)
-@given(geometry=st.sampled_from(sorted(_JOBS)),
-       bounds=st.tuples(_WINDOW_BOUNDS, _WINDOW_BOUNDS).filter(lambda w: w[0] < w[1]),
+@given(geometry=st.sampled_from(sorted(_JOBS)), bounds=_WINDOWS,
        samples=st.integers(1, 10**6), depth=st.integers(0, 5),
        seed=st.integers(0, 2**63), fmt=st.sampled_from(["csv", "json"]))
 def test_job_text_round_trip(geometry, bounds, samples, depth, seed, fmt):
-    flavor, body = _JOBS[geometry]
-    text = (f"geometry = {geometry}\nflavor = {flavor}\nwindow = {bounds[0]!r}:{bounds[1]!r}\n"
-            f"samples = {samples}\ndepth = {depth}\nseed = {seed}\nformat = {fmt}\n"
-            f"exprs:\n  {body}\n")
-    job = JobSpec.from_text(text)
+    job = JobSpec.from_text(job_text(geometry, bounds, samples, depth, seed, fmt))
     assert job.window == bounds
     assert JobSpec.from_text(job.to_text()) == job
 
@@ -153,6 +161,72 @@ def test_any_job_text_parses_or_raises_job_error(changes, expr, junk):
             assert isinstance(JobSpec.from_text(candidate), JobSpec)
         except JobError:
             pass
+
+
+# small jobs, so that a command runs in milliseconds
+_SMALL_JOBS = st.builds(job_text, st.sampled_from(sorted(_JOBS)), _WINDOWS,
+                        st.integers(1, 3), st.integers(0, 2), st.integers(0, 2**63),
+                        st.sampled_from(["csv", "json"]))
+_PATHS = ["@job", "@job2", "@missing", "@dir", "@dir/missing/out.json", "@dir/out.json"]
+_OVERRIDES = {"--samples": ["1", "2", "0", "-1"], "--depth": ["0", "2", "-1"],
+              "--window": ["0.5:0.75", "2:1", "0:inf", "1e100:1e101", "700:738"],
+              "--seed": ["0", "7", "-1"]}
+_COMMAND_OPTIONS = {  # option -> values it is likely to get
+    "invariants": {"--job": _PATHS, "--format": ["csv", "json", "xml"], **_OVERRIDES},
+    "signature": {"--job": _PATHS, "--out": _PATHS[2:], **_OVERRIDES},
+    "equivalence": {"--job": _PATHS, "--job2": _PATHS, "--tol": ["1e-6", "0", "nan", "-1"],
+                    **_OVERRIDES},
+    "check": {"--geometry": ["curve", "function", "contact-curve", "x"],
+              "--flavor": ["sp", "csp", "contact-csp", "x"], "--n": ["0", "1", "2", "-1"],
+              "--trials": ["0", "1"], "--jets": ["0", "1"], "--seed": ["0", "3", "-1"]},
+}
+_ANY_OPTION = sorted({o for opts in _COMMAND_OPTIONS.values() for o in opts} | {"--help"})
+# no '-' in free text: an abbreviated option such as --sa would take any value
+_STRAY = st.one_of(st.sampled_from(["0", "-1", "nan", "1:2", "", "sp"] + _PATHS),
+                   st.text(st.characters(blacklist_characters="-"), max_size=6))
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, mostly its own options with values, and stray tokens."""
+    command = draw(st.sampled_from([*_COMMAND_OPTIONS, "bogus"]))
+    options = _COMMAND_OPTIONS.get(command, {})
+    argv = [command]
+    if command == "check":
+        argv.append(draw(st.one_of(st.sampled_from(["invariance", "syzygy", "counting"]),
+                                   _STRAY)))
+    elif draw(st.booleans()):
+        argv += ["--job", "@job"] + (["--job2", "@job2"] if command == "equivalence" else [])
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.integers(0, 9))
+        if kind < 8 and options:
+            option = draw(st.sampled_from(sorted(options)))
+            argv += [option, draw(st.sampled_from(options[option]) if kind < 6 else _STRAY)]
+        else:
+            argv.append(draw(st.sampled_from(_ANY_OPTION) if kind == 8 else _STRAY))
+    if command == "check":  # the last --trials/--jets win and keep the suites small
+        trials, jets = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+        argv += ["--trials", str(trials), "--jets", str(jets)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs(), texts=st.tuples(_SMALL_JOBS, _SMALL_JOBS))
+def test_any_argv_exits_with_a_documented_code(argv, texts):
+    """Every argv ends in exit code 0-5 (argparse exits 0 or 2), never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = dict(zip(_PATHS, [f"{tmp}/a.job", f"{tmp}/b.job", f"{tmp}/none.job", tmp,
+                                  f"{tmp}/missing/out.json", f"{tmp}/out.json"]))
+        for key, text in zip(("@job", "@job2"), texts):
+            with open(paths[key], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([paths.get(a, a) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in range(6), (argv, err.getvalue())
 
 
 class TestInvariantsCommand:
@@ -200,6 +274,15 @@ class TestInvariantsCommand:
         assert main(["invariants", "--job", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "too large" in err
+
+    @pytest.mark.parametrize("expr,window", [
+        ("x^2 + 2^2000", "1:2"), ("exp(x)", "1e100:1e101"), ("log(exp(x))", "710:738"),
+        ("sin(x^4)", "1e100:1e101"), ("x^2 + sin(10^300*10^300)", "1:2"),
+    ])
+    def test_values_beyond_the_float_range_are_degenerate(self, tmp_path, capsys, expr, window):
+        text = PARABOLA.replace("y = x^2", f"y = {expr}").replace("1:2", window)
+        assert main(["invariants", "--job", write(tmp_path, "big.job", text)]) == 3
+        assert capsys.readouterr().err == "error: all samples degenerate\n"
 
     def test_all_degenerate_exits_3(self, tmp_path, capsys):
         path = write(tmp_path, "line.job", PARABOLA.replace("y = x^2", "y = x"))
@@ -315,6 +398,11 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("suite", ["counting", "syzygy", "invariance"])
+    def test_negative_seed_exits_2(self, capsys, suite):
+        assert main(["check", suite, "--seed", "-1", "--trials", "1", "--jets", "1"]) == 2
+        assert capsys.readouterr().err == "error: --seed: must be >= 0\n"
 
     def test_invariance_suite_small(self, capsys):
         code = main(["check", "invariance", "--geometry", "curve", "--flavor", "sp",

@@ -527,6 +527,74 @@ class TestReplacedAlgorithms:
         assert x.reciprocal().coeffs == horner_reciprocal(x).coeffs
 
 
+def full_table_compose_many(outers, inners):
+    """Float ``compose_many`` with every basis row a product over the whole table."""
+    inner_order = min(g.order for g in inners)
+    orders = [min(o.order, inner_order) for o in outers]
+    order = max(orders)
+    hs = [(g - g.value()).truncate(order) for g in inners]
+    first, parent = _tables.compose_plan(len(inners), order)
+    nvars = hs[0].nvars
+    n_cols = _tables.count(nvars, order)
+    pi, pj, pr = _tables.product_table(nvars, order)
+    basis = np.zeros((len(first), n_cols))
+    basis[0, 0] = 1.0
+    for r in range(1, len(first)):
+        h = hs[first[r]].coeffs
+        basis[r] = h if parent[r] == 0 else np.bincount(
+            pr, weights=basis[parent[r]][pi] * h[pj], minlength=n_cols)
+    stacked = np.zeros((len(outers), len(first)))
+    for i, (outer, k) in enumerate(zip(outers, orders)):
+        m = _tables.count(len(inners), k)
+        stacked[i, :m] = outer.coeffs[:m]
+    res = np.einsum("km,mn->kn", stacked, basis)
+    return [row[: _tables.count(nvars, k)] for row, k in zip(res, orders)]
+
+
+def inners_in(rng, nvars, values, order, exact):
+    """Inner jets in ``nvars`` variables taking the given values."""
+    base = tuple(Fraction(int(rng.integers(-3, 4)), 2) if exact else float(rng.uniform(-1, 1))
+                 for _ in range(nvars))
+    n = _tables.count(nvars, order)
+    out = []
+    for v in values:
+        if exact:
+            rest = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+                    for _ in range(n - 1)]
+        else:
+            rest = list(rng.uniform(-1, 1, size=n - 1))
+        out.append(MultiJet(nvars, order, [v] + rest, base, exact=exact))
+    return out
+
+
+class TestDegreeSuffixRows:
+    """Skipping the pairs below a row's degree keeps every coefficient's bits."""
+
+    @pytest.mark.parametrize("p", range(1, 6))
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_float_rows_equal_the_full_table_build(self, p, order):
+        rng = np.random.default_rng(700 + 10 * p + order)
+        outers, inners = random_composition(rng, p, order, "float")
+        for got, want in zip(jets.compose_many(outers, inners),
+                             full_table_compose_many(outers, inners)):
+            assert got.coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p,nvars,order", [(1, 3, 6), (2, 1, 6), (2, 4, 5), (3, 2, 6),
+                                               (5, 2, 4), (4, 6, 3)])
+    def test_inners_in_other_variable_counts(self, p, nvars, order):
+        rng = np.random.default_rng(800 + 100 * p + 10 * nvars + order)
+        outers, _ = random_composition(rng, p, order, "float")
+        inners = inners_in(rng, nvars, outers[0].basepoint, order, exact=False)
+        for got, want in zip(jets.compose_many(outers, inners),
+                             full_table_compose_many(outers, inners)):
+            assert got.nvars == nvars
+            assert got.coeffs.tobytes() == want.tobytes()
+        outers, _ = random_composition(rng, p, min(order, 3), "fraction")
+        inners = inners_in(rng, nvars, outers[0].basepoint, min(order, 3), exact=True)
+        for got, outer in zip(jets.compose_many(outers, inners), outers):
+            assert got.coeffs == per_outer_compose(outer, inners).coeffs
+
+
 class TestInversionWork:
     """Deterministic work counts of one inversion: no timing involved."""
 
@@ -545,10 +613,12 @@ class TestInversionWork:
         # pass k builds the monomial jets of degree 2..k once, one product
         # each at order k, and shares them among the 5 outer jets (composing
         # each outer on its own took 5 times as many: 4435 calls and
-        # 22,628,980 madds)
+        # 22,628,980 madds); a row of degree d only takes the pairs whose
+        # first factor has degree >= d - 1 (the whole table took 4,525,796)
         assert new_calls == sum(_tables.count(5, k) - 6 for k in range(2, 7)) == 887
-        assert new_madds == sum((_tables.count(5, k) - 6) * len(_tables.product_table(5, k)[0])
-                                for k in range(2, 7)) == 4525796
+        assert new_madds == sum(len(_tables.suffix_tables(5, k)[d - 1][0])
+                                for k in range(2, 7)
+                                for d in _tables.degrees(5, k) if d >= 2) == 1486732
         calls.clear()
         fixed_point_inverse(maps)
         assert len(calls) == 5 * 5 * (_tables.count(5, 6) - 6) == 11400

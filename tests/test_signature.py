@@ -1,5 +1,7 @@
 """Signature clouds and the equivalence verdicts."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,43 @@ class TestReparametrization:
                              seed=3, window=(0.5, 1.5), parametric=True)
         dist = hausdorff_distance(base, param)
         assert dist <= 1e-7
+
+
+def dense_hausdorff_distance(cloud_a, cloud_b):
+    """The distance from one (N, M, r) tensor of coordinate differences."""
+    a = np.asarray(cloud_a.points, dtype=float)
+    b = np.asarray(cloud_b.points, dtype=float)
+    both = np.vstack([a, b])
+    span = np.max(both, axis=0) - np.min(both, axis=0)
+    span[span == 0] = 1.0
+    an = a / span
+    bn = b / span
+    d2 = np.sum((an[:, None, :] - bn[None, :, :]) ** 2, axis=2)
+    forward = np.max(np.min(d2, axis=1))
+    backward = np.max(np.min(d2, axis=0))
+    return float(np.sqrt(max(forward, backward)))
+
+
+class TestBlockedHausdorff:
+    @staticmethod
+    def clouds(n, m, r, seed):
+        rng = np.random.default_rng(seed)
+        return (SimpleNamespace(points=rng.normal(size=(n, r))),
+                SimpleNamespace(points=rng.normal(size=(m, r)) * 1.5 + 0.25))
+
+    @pytest.mark.parametrize("n,m,r", [(2048, 2048, 2), (100, 3000, 3), (7, 5, 9), (1, 1, 1),
+                                       (300, 129, 12), (129, 1, 2)])
+    def test_bits_equal_the_dense_form(self, n, m, r):
+        a, b = self.clouds(n, m, r, seed=n + m + r)
+        for x, y in ((a, b), (b, a)):
+            assert hausdorff_distance(x, y).hex() == dense_hausdorff_distance(x, y).hex()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("in_b", [False, True])
+    def test_non_finite_point_matches_the_dense_form(self, bad, in_b):
+        a, b = self.clouds(300, 200, 3, seed=9)
+        (b if in_b else a).points[137, 1] = bad
+        with np.errstate(invalid="ignore"):  # inf / inf in the normalization
+            want = dense_hausdorff_distance(a, b)
+            got = hausdorff_distance(a, b)
+        assert got.hex() == want.hex()
