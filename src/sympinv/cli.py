@@ -24,7 +24,7 @@ from . import functions as fn_mod
 from . import signature as sig_mod
 from .errors import (AllSamplesDegenerate, GeometryError, IncomparableClouds,
                      JetError, JobError)
-from .geometry import CHARTS, JetPoint, default_order, parametric_curve_point
+from .geometry import CHARTS, JetPoint, default_order
 from .jobs import HEADER_KEYS, JobSpec
 from .prolong import orbit_dimension
 
@@ -55,48 +55,21 @@ def _apply_overrides(job, args):
     return JobSpec._validate({**keys, **updates}, job.exprs)
 
 
-def _sample_points(job):
-    rng = np.random.default_rng(job.seed)
-    p = len(job.parameter_names())
-    lo, hi = job.window
-    return [tuple(rng.uniform(lo, hi) for _ in range(p)) for _ in range(job.samples)]
-
-
-def _build_point(job, at, order):
-    chart = CHARTS[job.geometry](job.n)
-    if job.parametric:
-        from .exprs import evaluate
-        from .jets import TaylorJet
-
-        s_jet = TaylorJet.variable(at[0], order)
-        comps = []
-        for name in chart.space.names:
-            ast = job.exprs[name]
-            val = evaluate(ast, {v: s_jet for v in ast.free_vars})
-            comps.append(val if hasattr(val, "coeffs") else TaylorJet.constant(val, order, at[0]))
-        return parametric_curve_point(chart, comps, order)
-    return JetPoint.from_exprs(chart, job.exprs, at, order)
+def _sampling(job):
+    """The arguments of signature.sample_psi and signature_of for a job."""
+    defs = ([job.exprs[name] for name in CHARTS[job.geometry](job.n).space.names]
+            if job.parametric else job.exprs)
+    return dict(defs=defs, geometry=job.geometry, flavor=job.flavor, n=job.n,
+                samples=job.samples, depth=job.depth, window=job.window, seed=job.seed,
+                parametric=job.parametric)
 
 
 def cmd_invariants(args):
     job = _load_job(args.job, args)
     labels = sig_mod.component_labels(job.geometry, job.flavor, job.n, job.depth)
-    order = default_order(job.geometry, job.n)
-    points = _sample_points(job)
+    rows = sig_mod.sample_psi(**_sampling(job))
     param_names = job.parameter_names()
-
-    def evaluate_one(item):
-        idx, at = item
-        try:
-            point = _build_point(job, at, order)
-            vals = sig_mod.psi_values(point, job.geometry, job.flavor, job.n, job.depth)
-            return idx, at, vals, ""
-        except (GeometryError, JetError, ZeroDivisionError) as err:
-            return idx, at, None, type(err).__name__
-
-    rows = [evaluate_one(item) for item in enumerate(points)]
-    degenerate = sum(1 for r in rows if r[2] is None)
-    if degenerate == len(rows):
+    if all(vals is None for _, vals, _ in rows):
         print("error: all samples degenerate", file=sys.stderr)
         return 3
 
@@ -104,7 +77,7 @@ def cmd_invariants(args):
     if fmt == "csv":
         header = ["sample", *param_names, *labels, "degenerate"]
         print(",".join(header))
-        for idx, at, vals, flag in rows:
+        for idx, (at, vals, flag) in enumerate(rows):
             cells = [str(idx), *(_fmt(a) for a in at)]
             if vals is None:
                 cells += ["" for _ in labels] + [flag]
@@ -115,7 +88,7 @@ def cmd_invariants(args):
         import json
 
         payload = []
-        for idx, at, vals, flag in rows:
+        for idx, (at, vals, flag) in enumerate(rows):
             payload.append({
                 "sample": idx,
                 "params": [float(_fmt(a)) for a in at],
@@ -170,23 +143,18 @@ def _check_counting(args):
     return failures
 
 
-def _invariance_cases(geometry, flavor, n):
-    ev = sig_mod.generator_map(geometry, flavor, n)
-
-    def values(point):
-        gens, _ = ev(point)
-        return {k: sig_mod._as_float(v) for k, v in gens.items()}
-
-    return values
-
-
 def _run_invariance(geometry, flavor, n, trials, jets, seed):
     from .geometry import pushforward
     from .symplectic import random_contact_lift, random_group_element
 
     contact = geometry.startswith("contact")
     chart = CHARTS[geometry](n)
-    values = _invariance_cases(geometry, flavor, n)
+    ev = sig_mod.generator_map(geometry, flavor, n)
+
+    def values(point):
+        gens, _ = ev(point)
+        return {k: sig_mod._as_float(v) for k, v in gens.items()}
+
     order = default_order(geometry, n)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -207,28 +175,16 @@ def _run_invariance(geometry, flavor, n, trials, jets, seed):
                 vals = values(moved)
             except (GeometryError, JetError, ZeroDivisionError):
                 continue
-            for key, v in base.items():
-                err = abs(vals[key] - v) / max(abs(v), abs(vals[key]), 1.0)
-                worst = max(worst, err)
+            errs = [abs(vals[key] - v) / max(abs(v), abs(vals[key]), 1.0)
+                    for key, v in base.items()]
+            worst = float(np.max([worst, *errs]))  # keeps a NaN, unlike max()
             tested += 1
     return worst, tested
 
 
-_INVARIANCE_TARGETS = [
-    ("function", "sp", 1), ("function", "sp", 2),
-    ("function", "csp", 1), ("function", "asp", 1), ("function", "acsp", 1),
-    ("curve", "sp", 1), ("curve", "sp", 2), ("curve", "sp", 3),
-    ("curve", "csp", 1), ("curve", "asp", 1), ("curve", "acsp", 1),
-    ("hypersurface", "sp", 2), ("hypersurface", "sp", 3),
-    ("surface", "sp", 2),
-    ("contact-curve", "contact", 1), ("contact-curve", "contact-csp", 1),
-    ("contact-surface", "contact-csp", 1), ("contact-function", "contact-csp", 1),
-]
-
-
 def _check_invariance_suite(args):
     failures = 0
-    targets = _INVARIANCE_TARGETS
+    targets = sig_mod.invariance_targets()
     if args.geometry:
         targets = [t for t in targets if t[0] == args.geometry]
     if args.flavor:
@@ -261,7 +217,7 @@ def _syzygy_report(seed, jets):
                 res = fn(point)
             except (GeometryError, JetError, ZeroDivisionError):
                 continue
-            worst = max(worst, max(res.values()))
+            worst = float(np.max([worst, *res.values()]))  # keeps a NaN
             used += 1
         report.append((name, worst, tol))
 
@@ -303,11 +259,7 @@ def cmd_check(args):
 
 
 def _cloud_from_job(job):
-    return sig_mod.signature_of(
-        job.exprs if not job.parametric
-        else [job.exprs[name] for name in CHARTS[job.geometry](job.n).space.names],
-        job.geometry, job.flavor, n=job.n, samples=job.samples, depth=job.depth,
-        window=job.window, seed=job.seed, parametric=job.parametric)
+    return sig_mod.signature_of(**_sampling(job))
 
 
 def cmd_signature(args):

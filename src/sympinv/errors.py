@@ -108,6 +108,10 @@ class OnZeroLevelSet(GeometryError):
     """Base invariant 2z - xy vanishes; the scaled generators are undefined."""
 
 
+class NonFinite(GeometryError):
+    """A signature component at this sample is not finite (inf or NaN)."""
+
+
 # --- group actions / sampling ----------------------------------------------
 
 class GroupError(SympinvError):

@@ -15,16 +15,7 @@ from .errors import ExprError, JobError
 from .exprs import parse as parse_expr
 from .exprs import to_text as expr_text
 from .geometry import CHARTS, default_order, n_independent
-
-_FLAVORS = {
-    "curve": ("sp", "csp", "asp", "acsp"),
-    "function": ("sp", "csp", "asp", "acsp"),
-    "hypersurface": ("sp",),
-    "surface": ("sp",),
-    "contact-curve": ("contact", "contact-csp"),
-    "contact-surface": ("contact-csp",),
-    "contact-function": ("contact-csp",),
-}
+from .signature import RECIPES
 
 # Largest product table (``_tables.pair_count`` at the default order) a job
 # may need.  The table is built before any sample runs: hypersurface n = 4
@@ -96,21 +87,21 @@ class JobSpec:
         if geometry not in CHARTS:
             raise JobError(f"unknown geometry {geometry!r}", field="geometry")
         flavor = keys.get("flavor")
-        if flavor not in _FLAVORS[geometry]:
+        flavors = [f for g, f in RECIPES if g == geometry]
+        if flavor not in flavors:
             raise JobError(
                 f"flavor {flavor!r} not valid for geometry {geometry!r} "
-                f"(allowed: {', '.join(_FLAVORS[geometry])})", field="flavor")
+                f"(allowed: {', '.join(flavors)})", field="flavor")
         try:
             n = int(keys["n"])
         except (TypeError, ValueError):
             raise JobError("n must be an integer", field="n") from None
         if n < 1:
             raise JobError("n must be >= 1", field="n")
-        if geometry in ("surface", "contact-curve", "contact-surface", "contact-function"):
-            if n != (2 if geometry == "surface" else 1):
-                raise JobError(f"geometry {geometry!r} fixes n", field="n")
-        if flavor in ("csp", "asp", "acsp") and n != 1:
-            raise JobError("extended flavors are implemented for n = 1", field="flavor")
+        fixed_n = RECIPES[geometry, flavor].n
+        if fixed_n is not None and n != fixed_n:
+            raise JobError(f"{geometry}/{flavor} is implemented for n = {fixed_n} only",
+                           field="n")
         p, order = n_independent(geometry, n), default_order(geometry, n)
         pairs = _tables.pair_count(p, order)
         if pairs > MAX_PRODUCT_PAIRS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,10 @@ from . import extended as ext_mod
 from . import functions as fn_mod
 from . import hypersurfaces as hyp_mod
 from . import surfaces as srf_mod
-from .errors import AllSamplesDegenerate, GeometryError, IncomparableClouds, JetError
+from .errors import AllSamplesDegenerate, GeometryError, IncomparableClouds, JetError, NonFinite
+from .exprs import evaluate
 from .geometry import CHARTS, JetPoint, apply_word, default_order, parametric_curve_point
+from .jets import TaylorJet
 
 
 @dataclass(frozen=True)
@@ -39,134 +42,150 @@ class SignatureCloud:
 
 # --- generator recipes ---------------------------------------------------------
 
-def generator_map(geometry, flavor, n):
-    """(labels, evaluator) for the exported generating set of a geometry/flavor.
+@dataclass(frozen=True)
+class Recipe:
+    """The exported generating set of one (geometry, flavor)."""
+    n: object  # the one n it is implemented for, or None for every n >= 1
+    labels: object  # n -> generator labels, in the order of the Psi components
+    derivations: object  # n -> number of invariant derivations
+    # (point, n) -> (generator jets by label, derivation list); it looks its
+    # frame functions up when called, and its dict may hold more generators
+    evaluate: object
+    checked: tuple  # the n of this recipe in the invariance battery
 
-    The evaluator maps a JetPoint to (invariant jets dict, derivations list);
-    signature components are the invariants followed by derivation words.
+
+def _fixed(value):
+    return lambda n: value
+
+
+def _function_sp_labels(n):
+    if n == 1:
+        return ("I0", "I2c")
+    return ("I0", *(f"I{i}{j}" for i in (1, 2) for j in range(i, 2 * n + 1)))
+
+
+def _picked(result, *names):
+    """(generators, derivations) of a frame that returns its derivations in a
+    dict: the named ones, in order."""
+    gens, ders = result
+    return gens, [ders[name] for name in names]
+
+
+def _curve_sp(p, n):
+    gens = curves_mod.invariants_n1(p) if n == 1 else curves_mod.invariants(p)[0]
+    return gens, [curves_mod.nabla(p)]
+
+
+def _function_sp(p, n):
+    if n == 1:
+        gens = fn_mod.invariants_n1(p)
+        return _picked((gens, fn_mod.derivations_n1(p)), "d1", "d2")
+    gens, ders = fn_mod.generators_general(p)
+    return gens, ders[:2]
+
+
+def _hypersurface(p, n):
+    fr = hyp_mod.canonical_frame(p)
+    return fr.invariants, hyp_mod.derivations(fr)
+
+
+def _surface(p, n):
+    inv, ders, _ = srf_mod.invariants(p)
+    return inv, list(ders)
+
+
+def _contact_curve(p, n):
+    plain, _, ders = contact_mod.curve_invariants(p)
+    return plain, [ders["d"]]
+
+
+def _contact_curve_csp(p, n):
+    _, scaled, ders = contact_mod.curve_invariants(p)
+    return scaled, [ders["dp"]]
+
+
+# One recipe per (geometry, flavor), in the order of the invariance battery.
+# Adding a flavor means one entry here plus its frame functions.
+RECIPES = {
+    ("function", "sp"): Recipe(None, _function_sp_labels, _fixed(2), _function_sp, (1, 2)),
+    ("function", "csp"): Recipe(
+        1, _fixed(("I0", "I2bp")), _fixed(2),
+        lambda p, n: _picked(ext_mod.csp_function_invariants(p), "d1", "d2p"), (1,)),
+    ("function", "asp"): Recipe(
+        1, _fixed(("I0", "I2p")), _fixed(2),
+        lambda p, n: _picked(ext_mod.asp_function_invariants(p), "d1p", "d2"), (1,)),
+    ("function", "acsp"): Recipe(
+        1, _fixed(("I0", "I3app", "I3bpp")), _fixed(2),
+        lambda p, n: _picked(ext_mod.acsp_function_invariants(p), "d1pp", "d2pp"), (1,)),
+    ("curve", "sp"): Recipe(
+        None, lambda n: tuple(f"I{m}" for m in range(2, 2 * n + 1)), _fixed(1), _curve_sp,
+        (1, 2, 3)),
+    ("curve", "csp"): Recipe(
+        1, _fixed(("I3p",)), _fixed(1),
+        lambda p, n: _picked(ext_mod.csp_curve_invariants(p), "dp"), (1,)),
+    ("curve", "asp"): Recipe(
+        1, _fixed(("I4pp",)), _fixed(1),
+        lambda p, n: _picked(ext_mod.asp_curve_invariants(p), "dpp"), (1,)),
+    ("curve", "acsp"): Recipe(
+        1, _fixed(("I5",)), _fixed(1),
+        lambda p, n: _picked(ext_mod.acsp_curve_invariants(p), "dppp"), (1,)),
+    ("hypersurface", "sp"): Recipe(
+        None, lambda n: tuple(f"I2_{i}" for i in range(1, 2 * n)), lambda n: 2 * n - 1,
+        _hypersurface, (2, 3)),
+    ("surface", "sp"): Recipe(2, _fixed(("I2a", "I2b", "I2c", "I2d")), _fixed(2), _surface, (2,)),
+    ("contact-curve", "contact"): Recipe(1, _fixed(("I0", "I2a")), _fixed(1), _contact_curve, (1,)),
+    ("contact-curve", "contact-csp"): Recipe(
+        1, _fixed(("I1", "I2ap")), _fixed(1), _contact_curve_csp, (1,)),
+    ("contact-surface", "contact-csp"): Recipe(
+        1, _fixed(("I1p", "I2cp")), _fixed(2),
+        lambda p, n: _picked(contact_mod.surface_invariants(p), "d1", "d2"), (1,)),
+    ("contact-function", "contact-csp"): Recipe(
+        1, _fixed(("I0", "I2f")), _fixed(3),
+        lambda p, n: _picked((contact_mod.function_invariants(p),
+                              contact_mod.function_derivations(p)), "d1", "d2", "d3"), (1,)),
+}
+
+
+def recipe_for(geometry, flavor):
+    try:
+        return RECIPES[geometry, flavor]
+    except KeyError:
+        raise ValueError(f"no generator recipe for geometry {geometry!r} "
+                         f"with flavor {flavor!r}") from None
+
+
+def invariance_targets():
+    """(geometry, flavor, n) of the invariance battery, in its order."""
+    return [(g, f, n) for (g, f), recipe in RECIPES.items() for n in recipe.checked]
+
+
+def generator_map(geometry, flavor, n):
+    """Evaluator of the exported generating set of a geometry/flavor.
+
+    The evaluator maps a JetPoint to (invariant jets dict, derivations list),
+    the dict keyed by the recipe's labels in their order; signature
+    components are the invariants followed by derivation words.
     """
-    if geometry == "curve" and flavor == "sp":
-        if n == 1:
-            def ev(p):
-                inv = curves_mod.invariants_n1(p)
-                return {"I2": inv["I2"]}, [curves_mod.nabla(p)]
-            return ev
-        def ev(p):
-            gens, _ = curves_mod.invariants(p)
-            names = [f"I{m}" for m in range(2, 2 * n + 1)]
-            return {k: gens[k] for k in names}, [curves_mod.nabla(p)]
-        return ev
-    if geometry == "curve" and flavor == "csp":
-        def ev(p):
-            gens, ders = ext_mod.csp_curve_invariants(p)
-            return gens, [ders["dp"]]
-        return ev
-    if geometry == "curve" and flavor == "asp":
-        def ev(p):
-            gens, ders = ext_mod.asp_curve_invariants(p)
-            return gens, [ders["dpp"]]
-        return ev
-    if geometry == "curve" and flavor == "acsp":
-        def ev(p):
-            gens, ders = ext_mod.acsp_curve_invariants(p)
-            return gens, [ders["dppp"]]
-        return ev
-    if geometry == "function" and flavor == "sp":
-        if n == 1:
-            def ev(p):
-                inv = fn_mod.invariants_n1(p)
-                d = fn_mod.derivations_n1(p)
-                return ({"I0": inv["I0"], "I2c": inv["I2c"]}, [d["d1"], d["d2"]])
-            return ev
-        def ev(p):
-            gens, ders = fn_mod.generators_general(p)
-            return gens, ders[:2]
-        return ev
-    if geometry == "function" and flavor == "csp":
-        def ev(p):
-            gens, ders = ext_mod.csp_function_invariants(p)
-            return ({"I0": gens["I0"], "I2bp": gens["I2bp"]},
-                    [ders["d1"], ders["d2p"]])
-        return ev
-    if geometry == "function" and flavor == "asp":
-        def ev(p):
-            gens, ders = ext_mod.asp_function_invariants(p)
-            return ({"I0": gens["I0"], "I2p": gens["I2p"]},
-                    [ders["d1p"], ders["d2"]])
-        return ev
-    if geometry == "function" and flavor == "acsp":
-        def ev(p):
-            gens, ders = ext_mod.acsp_function_invariants(p)
-            return ({"I0": gens["I0"], "I3app": gens["I3app"], "I3bpp": gens["I3bpp"]},
-                    [ders["d1pp"], ders["d2pp"]])
-        return ev
-    if geometry == "hypersurface" and flavor == "sp":
-        def ev(p):
-            fr = hyp_mod.canonical_frame(p)
-            return dict(fr.invariants), hyp_mod.derivations(fr)
-        return ev
-    if geometry == "surface" and flavor == "sp":
-        def ev(p):
-            inv, ders, _ = srf_mod.invariants(p)
-            return inv, list(ders)
-        return ev
-    if geometry == "contact-curve" and flavor == "contact":
-        def ev(p):
-            plain, _, ders = contact_mod.curve_invariants(p)
-            return ({"I0": plain["I0"], "I2a": plain["I2a"]}, [ders["d"]])
-        return ev
-    if geometry == "contact-curve" and flavor == "contact-csp":
-        def ev(p):
-            _, scaled, ders = contact_mod.curve_invariants(p)
-            return ({"I1": scaled["I1"], "I2ap": scaled["I2ap"]}, [ders["dp"]])
-        return ev
-    if geometry == "contact-surface" and flavor == "contact-csp":
-        def ev(p):
-            scaled, ders = contact_mod.surface_invariants(p)
-            return ({"I1p": scaled["I1p"], "I2cp": scaled["I2cp"]},
-                    [ders["d1"], ders["d2"]])
-        return ev
-    if geometry == "contact-function" and flavor == "contact-csp":
-        def ev(p):
-            inv = contact_mod.function_invariants(p)
-            ders = contact_mod.function_derivations(p)
-            return ({"I0": inv["I0"], "I2f": inv["I2f"]},
-                    [ders["d1"], ders["d2"], ders["d3"]])
-        return ev
-    raise ValueError(f"no generator recipe for geometry {geometry!r} with flavor {flavor!r}")
+    recipe = recipe_for(geometry, flavor)
+    labels = recipe.labels(n)
+
+    def ev(p):
+        gens, ders = recipe.evaluate(p, n)
+        return {k: gens[k] for k in labels}, ders
+
+    return ev
 
 
 def component_labels(geometry, flavor, n, depth):
     """Psi component labels: generators, then derivation words up to depth."""
-    probe_names = _probe_generator_names(geometry, flavor, n)
-    gen_names, n_ders = probe_names
+    recipe = recipe_for(geometry, flavor)
+    gen_names = recipe.labels(n)
     labels = list(gen_names)
     for d in range(1, depth + 1):
-        for word in itertools.product(range(n_ders), repeat=d):
+        for word in itertools.product(range(recipe.derivations(n)), repeat=d):
             for g in gen_names:
                 labels.append("".join(f"d{i+1}" for i in word) + f"({g})")
     return labels
-
-
-_PROBE_CACHE = {}
-
-
-def _probe_generator_names(geometry, flavor, n):
-    key = (geometry, flavor, n)
-    if key not in _PROBE_CACHE:
-        ev = generator_map(geometry, flavor, n)
-        rng = np.random.default_rng(12345)
-        for _ in range(20):
-            try:
-                point = JetPoint.random(CHARTS[geometry](n), default_order(geometry, n), rng)
-                gens, ders = ev(point)
-                _PROBE_CACHE[key] = (tuple(gens.keys()), len(ders))
-                break
-            except (GeometryError, JetError):
-                continue
-        else:
-            raise AllSamplesDegenerate("could not probe the generator recipe")
-    return _PROBE_CACHE[key]
 
 
 def psi_values(point, geometry, flavor, n, depth):
@@ -188,47 +207,62 @@ def _as_float(x):
     return float(getattr(v, "re", v))
 
 
+# --- sampling ---------------------------------------------------------------------
+
+def sample_psi(defs, geometry, flavor, n, samples, depth, window, seed, order=None,
+               parametric=False):
+    """[(at, Psi values, "")] at `samples` points drawn uniformly from the window,
+    or (at, None, exception class name) for a degenerate sample, which includes
+    a non-finite component (NonFinite).
+
+    defs: dependent name -> ExprAst (graph form), or a list of ASTs for every
+    ambient coordinate when parametric (curves only; `at` is the parameter).
+    """
+    chart = CHARTS[geometry](n)
+    order = order if order is not None else default_order(geometry, n)
+    rng = np.random.default_rng(seed)
+    lo, hi = window
+    rows = []
+    for _ in range(samples):
+        at = tuple(rng.uniform(lo, hi) for _ in range(chart.n_independent))
+        try:
+            if parametric:
+                point = parametric_curve_point(
+                    chart, [_parameter_jet(ast, at[0], order) for ast in defs], order)
+            else:
+                point = JetPoint.from_exprs(chart, defs, at, order)
+            values = psi_values(point, geometry, flavor, n, depth)
+            if not all(math.isfinite(v) for v in values):
+                raise NonFinite("a signature component is not finite")
+        except (GeometryError, JetError, ZeroDivisionError) as err:
+            rows.append((at, None, type(err).__name__))
+        else:
+            rows.append((at, values, ""))
+    return rows
+
+
+def _parameter_jet(ast, s, order):
+    """One coordinate of a parametric curve as a jet in its parameter at s."""
+    s_jet = TaylorJet.variable(s, order)
+    value = evaluate(ast, {ast.free_vars[0]: s_jet} if ast.free_vars else {})
+    return value if hasattr(value, "coeffs") else TaylorJet.constant(value, order, s)
+
+
 def signature_of(defs, geometry, flavor, n=None, samples=64, depth=1,
                  window=(0.5, 1.5), seed=0, order=None, parametric=False):
     """Build the signature cloud of a submanifold given by expressions.
 
-    defs: dependent name -> ExprAst (graph form), or a list of ASTs for every
-    ambient coordinate when parametric (curves only).  Sample points are drawn
-    uniformly from the window (per independent variable); degenerate samples
-    are counted, not dropped silently.
+    The arguments are those of sample_psi; degenerate samples are counted,
+    not dropped silently.
     """
-    if n is None:
-        n = 1
-    chart = CHARTS[geometry](n)
-    order = order if order is not None else default_order(geometry, n)
-    rng = np.random.default_rng(seed)
-    p_indep = chart.n_independent
-    lo, hi = window
-    pts = []
-    degenerate = 0
-    labels = component_labels(geometry, flavor, n, depth)
-    from .exprs import evaluate
-    from .jets import TaylorJet
-
-    for _ in range(samples):
-        at = tuple(rng.uniform(lo, hi) for _ in range(p_indep))
-        try:
-            if parametric:
-                s_jet = TaylorJet.variable(at[0], order)
-                comps = [evaluate(ast, {ast.free_vars[0]: s_jet} if ast.free_vars else {})
-                         for ast in defs]
-                comps = [c if hasattr(c, "coeffs") else TaylorJet.constant(c, order, at[0])
-                         for c in comps]
-                point = parametric_curve_point(chart, comps, order)
-            else:
-                point = JetPoint.from_exprs(chart, defs, at, order)
-            pts.append(tuple(psi_values(point, geometry, flavor, n, depth)))
-        except (GeometryError, JetError, ZeroDivisionError):
-            degenerate += 1
+    n = 1 if n is None else n
+    rows = sample_psi(defs, geometry, flavor, n, samples, depth, window, seed, order,
+                      parametric)
+    pts = tuple(tuple(values) for _, values, _ in rows if values is not None)
     if not pts:
         raise AllSamplesDegenerate(f"all {samples} samples hit degenerate loci")
-    return SignatureCloud(geometry, flavor, tuple(labels), depth, tuple(window),
-                          tuple(pts), samples, degenerate)
+    return SignatureCloud(geometry, flavor, tuple(component_labels(geometry, flavor, n, depth)),
+                          depth, tuple(window), pts, samples, samples - len(pts))
 
 
 # --- comparison ------------------------------------------------------------------

@@ -1,9 +1,27 @@
 """Shared helpers for the invariant test modules."""
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from sympinv.geometry import pushforward
 from sympinv.symplectic import random_contact_lift, random_group_element
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@functools.lru_cache(maxsize=None)
+def bench_module(name):
+    """bench/<name>.py, loaded by path without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def val(x):

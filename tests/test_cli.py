@@ -399,6 +399,31 @@ class TestCheckCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_invariance_fails_on_a_nan_error(self, capsys, monkeypatch):
+        from sympinv import extended
+
+        frame = extended.csp_curve_invariants
+
+        def nan_generators(point):
+            gens, ders = frame(point)
+            return {k: float("nan") for k in gens}, ders
+
+        monkeypatch.setattr(extended, "csp_curve_invariants", nan_generators)
+        code = main(["check", "invariance", "--geometry", "curve", "--flavor", "csp",
+                     "--trials", "2", "--jets", "2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("FAIL  invariance curve/csp n=1: max rel err nan")
+
+    def test_syzygy_fails_on_a_nan_residual(self, capsys, monkeypatch):
+        from sympinv import functions
+
+        monkeypatch.setattr(functions, "syzygy_residuals_n1", lambda point: {"R1": float("nan")})
+        code = main(["check", "syzygy", "--jets", "2", "--seed", "2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("FAIL  plane functions R1-R3: max residual nan")
+
     @pytest.mark.parametrize("suite", ["counting", "syzygy", "invariance"])
     def test_negative_seed_exits_2(self, capsys, suite):
         assert main(["check", suite, "--seed", "-1", "--trials", "1", "--jets", "1"]) == 2
