@@ -6,8 +6,7 @@ surfaces, and solve the equivalence problem through signature clouds.
 """
 
 from .geometry import CHARTS, Derivation, JetPoint, pushforward
-from .jets import (MultiJet, TaylorJet, compose, compose_many, compose_multi, invert_series,
-                   total_derivative)
+from .jets import MultiJet, compose_many, invert_series
 from .kernels import backend_name
 from .signature import SignatureCloud, equivalent, signature_of
 from .symplectic import ContactSpace, GroupElement, SymplecticSpace
@@ -23,15 +22,11 @@ __all__ = [
     "MultiJet",
     "SignatureCloud",
     "SymplecticSpace",
-    "TaylorJet",
     "backend_name",
-    "compose",
     "compose_many",
-    "compose_multi",
     "equivalent",
     "invert_series",
     "pushforward",
     "signature_of",
-    "total_derivative",
     "__version__",
 ]

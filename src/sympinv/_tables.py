@@ -6,9 +6,10 @@ layout of a lower order is a prefix of that of a higher one.  The product
 table enumerates every ordered coefficient pair that contributes to the
 truncated product; :func:`sympinv.kernels.mul_table` consumes it.  Its pairs
 are i-major, so the pairs whose first factor has degree >= d form a suffix,
-which :func:`suffix_tables` hands out as cached views.  The compose plan gives
-each monomial's parent in the recursion that builds the monomial jets of a
-composition.
+which :func:`suffix_tables` hands out as cached views.  The reciprocal plan
+regroups the pairs with a non-constant first factor by the degree of their
+target, for the graded reciprocal.  The compose plan gives each monomial's
+parent in the recursion that builds the monomial jets of a composition.
 
 The product and partial tables are built with numpy: the target slot of an
 exponent sum is found through mixed-radix monomial keys (base order + 1, so a
@@ -118,6 +119,25 @@ def suffix_tables(nvars, order):
     # count(nvars, d - 1) is the index of the first monomial of degree d
     starts = np.searchsorted(pi, [count(nvars, d - 1) for d in range(order + 1)])
     return tuple((pi[s:], pj[s:], pr[s:]) for s in starts)
+
+
+@lru_cache(maxsize=None)
+def reciprocal_plan(nvars, order):
+    """The product-table pairs of the graded reciprocal, by target degree.
+
+    Entry d - 1 (d = 1..order) is (pi, pj, pr, width): the pairs of
+    ``product_table(nvars, order)`` with pi > 0 whose target has degree d, in
+    table order, with pr counted from the first slot of degree d and width the
+    number of slots of degree d.  Their j has degree < d.
+    """
+    pi, pj, pr = product_table(nvars, order)
+    target_deg = np.array(degrees(nvars, order), dtype=np.int64)[pr]
+    out = []
+    for d in range(1, order + 1):
+        keep = np.flatnonzero((target_deg == d) & (pi > 0))
+        start = count(nvars, d - 1)
+        out.append((pi[keep], pj[keep], pr[keep] - start, count(nvars, d) - start))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

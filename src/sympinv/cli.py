@@ -36,9 +36,10 @@ def _fmt(x):
 def _load_job(path, args=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            job = JobSpec.from_text(fh.read())
-    except OSError as err:
+            text = fh.read()
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path, or not UTF-8
         raise JobError(f"cannot read job file: {err}", field="job") from None
+    job = JobSpec.from_text(text)
     if args is not None:
         job = _apply_overrides(job, args)
     return job
@@ -270,8 +271,9 @@ def cmd_signature(args):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-        except OSError as err:
-            print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
+        except (OSError, ValueError) as err:  # ValueError: a NUL in the path
+            print(f"error: cannot write {args.out}: {getattr(err, 'strerror', None) or err}",
+                  file=sys.stderr)
             return 2
     else:
         print(text)

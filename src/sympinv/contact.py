@@ -9,7 +9,7 @@ plain invariants descend to the conformally extended lift.
 from __future__ import annotations
 
 from .errors import DegenerateJet, OnZeroLevelSet
-from .geometry import Derivation, jet_partial
+from .geometry import Derivation
 from .jetlinalg import is_negligible, magnitude
 
 
@@ -27,14 +27,14 @@ def curve_invariants(point):
     x = point.independent_jets()[0]
     y = point.jets["y"]
     z = point.jets["z"]
-    y1 = y.derivative()
-    z1 = z.derivative()
+    y1 = y.partial(0)
+    z1 = z.partial(0)
     denom = x * y1 - y
     if is_negligible(denom):
         raise DegenerateJet("x y1 - y vanishes")
     i0 = 2 * z - x * y
     d = Derivation((1 / denom,))
-    i2a = y.derivative().derivative() / denom**3
+    i2a = y.partial(0).partial(0) / denom**3
     i1_raw = d(i0)
     i2b_raw = d(i1_raw)
     plain = {"I0": i0, "I1raw": i1_raw, "I2a": i2a, "I2braw": i2b_raw}
@@ -55,8 +55,8 @@ def curve_i2bp_display(point):
     x = point.independent_jets()[0]
     y = point.jets["y"]
     z = point.jets["z"]
-    y1, y2 = y.derivative(), y.derivative().derivative()
-    z1, z2 = z.derivative(), z.derivative().derivative()
+    y1, y2 = y.partial(0), y.partial(0).partial(0)
+    z1, z2 = z.partial(0), z.partial(0).partial(0)
     denom = x * y1 - y
     i0 = 2 * z - x * y
     return i0 / denom**3 * (x * (y - z1) * y2 - denom * (y1 - z2))
@@ -70,9 +70,9 @@ def surface_plain_invariants(point):
     """The unscaled invariants and derivations of the lifted action."""
     x, y = point.independent_jets()
     z = point.jets["z"]
-    zx, zy = jet_partial(z, 0), jet_partial(z, 1)
-    zxx, zxy = jet_partial(zx, 0), jet_partial(zx, 1)
-    zyy = jet_partial(zy, 1)
+    zx, zy = z.partial(0), z.partial(1)
+    zxx, zxy = zx.partial(0), zx.partial(1)
+    zyy = zy.partial(1)
     inv = {
         "I0": 2 * z - x * y,
         "I1": x * zx + y * zy - x * y,
@@ -178,10 +178,10 @@ def surface_exact_syzygies(point):
 def _function_data(point):
     x, y, z = point.independent_jets()
     u = point.jets["u"]
-    u1, u2, u3 = (jet_partial(u, i) for i in range(3))
-    u11, u12, u13 = jet_partial(u1, 0), jet_partial(u1, 1), jet_partial(u1, 2)
-    u22, u23 = jet_partial(u2, 1), jet_partial(u2, 2)
-    u33 = jet_partial(u3, 2)
+    u1, u2, u3 = (u.partial(i) for i in range(3))
+    u11, u12, u13 = u1.partial(0), u1.partial(1), u1.partial(2)
+    u22, u23 = u2.partial(1), u2.partial(2)
+    u33 = u3.partial(2)
     return x, y, z, u, (u1, u2, u3), (u11, u12, u13, u22, u23, u33)
 
 

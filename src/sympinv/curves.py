@@ -68,7 +68,7 @@ def _derivative_vectors(point, top):
     rows = [list(coords)]
     for _ in range(top):
         prev = rows[-1]
-        rows.append([c.derivative() for c in prev])
+        rows.append([c.partial(0) for c in prev])
     return rows
 
 
@@ -163,10 +163,10 @@ def invariants_n1(point, depth=0):
         raise ValueError("invariants_n1 requires n = 1")
     x = point.independent_jets()[0]
     y = point.jets["y"]
-    d = x * y.derivative() - y
+    d = x * y.partial(0) - y
     if is_negligible(d):
         raise DegenerateJet("x y1 - y vanishes: tangent line passes through the origin")
-    i2 = y.derivative().derivative() / d**3
+    i2 = y.partial(0).partial(0) / d**3
     out = {"I2": i2}
     der = Derivation((1 / d,))
     cur = i2
@@ -203,12 +203,12 @@ def printed_formula_i2(point):
     n = space.n
     names = space.names
     y = point.jets[names[n]]
-    y2 = y.derivative().derivative()
+    y2 = y.partial(0).partial(0)
     num = y2
     for i in range(n - 1):
         xi = point.jets[names[1 + i]]
         zi = point.jets[names[n + 1 + i]]
-        num = num + xi.derivative() * zi.derivative().derivative()
-        num = num - xi.derivative().derivative() * zi.derivative()
+        num = num + xi.partial(0) * zi.partial(0).partial(0)
+        num = num - xi.partial(0).partial(0) * zi.partial(0)
     d = delta_value(point)
     return num / d**3

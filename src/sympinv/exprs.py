@@ -374,7 +374,7 @@ def _wants_exact(env):
     for v in env.values():
         if isinstance(v, Fraction):
             return True
-        if isinstance(v, (jets.TaylorJet, jets.MultiJet)) and v.exact:
+        if isinstance(v, jets.MultiJet) and v.exact:
             return True
     return False
 
@@ -402,7 +402,7 @@ def _eval_node(node, env, exact):
     if isinstance(node, Pow):
         base = _eval_node(node.base, env, exact)
         e = node.exponent
-        if isinstance(base, (jets.TaylorJet, jets.MultiJet)):
+        if isinstance(base, jets.MultiJet):
             return base ** (int(e) if e.denominator == 1 else e)
         return _scalar_pow(base, e)
     if isinstance(node, Call):

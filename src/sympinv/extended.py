@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import functions as fn
 from .errors import WeightNormalizationSingular
-from .geometry import Derivation, jet_partial
+from .geometry import Derivation
 from .jetlinalg import is_negligible, magnitude
 
 
@@ -82,9 +82,9 @@ def asp_function_invariants(point):
     """Translation-invariant generators {I0, I2p, I2c} and {d1p, d2}."""
     _require_n1(point)
     u = point.jets["u"]
-    ux, uy = jet_partial(u, 0), jet_partial(u, 1)
-    uxx, uxy = jet_partial(ux, 0), jet_partial(ux, 1)
-    uyy = jet_partial(uy, 1)
+    ux, uy = u.partial(0), u.partial(1)
+    uxx, uxy = ux.partial(0), ux.partial(1)
+    uyy = uy.partial(1)
     inv = fn.invariants_n1(point)
     gens = {
         "I0": inv["I0"],
@@ -245,9 +245,9 @@ def csp_curve_invariants(point):
 
 def _curve_y_jets(point):
     y = point.jets["y"]
-    y2 = y.derivative().derivative()
-    y3 = y2.derivative()
-    y4 = y3.derivative()
+    y2 = y.partial(0).partial(0)
+    y3 = y2.partial(0)
+    y4 = y3.partial(0)
     return y2, y3, y4
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateJet, FrameDegeneracy
-from .geometry import Derivation, jet_partial
+from .geometry import Derivation
 from .jetlinalg import magnitude
 
 
@@ -22,14 +22,14 @@ def _coordinate_jets(point):
 def _u_partials(point):
     """First partials of u along the graph, one jet per base coordinate."""
     u = point.jets["u"]
-    return [jet_partial(u, i) for i in range(point.chart.n_independent)]
+    return [u.partial(i) for i in range(point.chart.n_independent)]
 
 
 def _u_second_partials(point):
     u = point.jets["u"]
     p = point.chart.n_independent
-    firsts = [jet_partial(u, i) for i in range(p)]
-    return [[jet_partial(firsts[i], j) for j in range(p)] for i in range(p)]
+    firsts = [u.partial(i) for i in range(p)]
+    return [[firsts[i].partial(j) for j in range(p)] for i in range(p)]
 
 
 def base_invariant(point):
@@ -87,7 +87,7 @@ def qk_form(point, derivations_tuple):
         d = remaining[0]
         acc = None
         for i in range(p):
-            term = rec(jet_partial(jet, i), remaining[1:]) * d.coeffs[i]
+            term = rec(jet.partial(i), remaining[1:]) * d.coeffs[i]
             acc = term if acc is None else acc + term
         return acc
 
@@ -152,8 +152,8 @@ def syzygy_residuals_n1(point):
     i2a, i2b, i2c = inv["I2a"], inv["I2b"], inv["I2c"]
 
     r1 = d2(i0).value()
-    r1_scale = max(magnitude(t) for t in (d2.coeffs[0] * jet_partial(i0, 0),
-                                          d2.coeffs[1] * jet_partial(i0, 1)))
+    r1_scale = max(magnitude(t) for t in (d2.coeffs[0] * i0.partial(0),
+                                          d2.coeffs[1] * i0.partial(1)))
 
     comm = d1.commutator(d2)
     target = d1.scale(i2b / i1) + d2.scale((i2a - i1) / i1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _tables
 from .errors import GraphDegeneracy, SingularLinearPart
-from .jets import MultiJet, TaylorJet, compose, compose_many, invert_series
+from .jets import MultiJet, compose_many, invert_series
 from .symplectic import ContactSpace, SymplecticSpace
 
 
@@ -142,17 +142,8 @@ class JetPoint:
     def from_partials(cls, chart, data, at, order, exact=False):
         """data: dependent name -> {multi-index: partial derivative value}."""
         p = chart.n_independent
-        jets = {}
-        for name in chart.dependent:
-            if p == 1:
-                coeffs = []
-                for j in range(order + 1):
-                    v = data[name].get((j,), Fraction(0) if exact else 0.0)
-                    coeffs.append(Fraction(v, math.factorial(j)) if exact and isinstance(v, (int, Fraction))
-                                  else v / math.factorial(j))
-                jets[name] = TaylorJet(coeffs, at[0], exact=exact)
-            else:
-                jets[name] = MultiJet.from_partials(data[name], p, order, at, exact=exact)
+        jets = {name: MultiJet.from_partials(data[name], p, order, at, exact=exact)
+                for name in chart.dependent}
         return cls(chart, at, jets, order, exact)
 
     @classmethod
@@ -228,22 +219,13 @@ class JetPoint:
             fac *= math.factorial(e)
         jets = dict(self.jets)
         jet = jets[name]
-        if isinstance(jet, TaylorJet):
-            coeffs = np.array(jet.coeffs, dtype=np.float64)
-            coeffs[sigma[0]] += h / fac
-            jets[name] = TaylorJet(coeffs, jet.basepoint)
-        else:
-            coeffs = np.array(jet.coeffs, dtype=np.float64)
-            pos = _tables.index_of(jet.nvars, jet.order)[tuple(sigma)]
-            coeffs[pos] += h / fac
-            jets[name] = MultiJet(jet.nvars, jet.order, coeffs, jet.basepoint)
+        coeffs = np.array(jet.coeffs, dtype=np.float64)
+        coeffs[_tables.index_of(jet.nvars, jet.order)[tuple(sigma)]] += h / fac
+        jets[name] = MultiJet(jet.nvars, jet.order, coeffs, jet.basepoint)
         return JetPoint(self.chart, self.basepoint, jets, self.order, self.exact)
 
     def jet_coordinate(self, name, sigma):
-        jet = self.jets[name]
-        if isinstance(jet, TaylorJet):
-            return jet.derivative_at(sigma[0])
-        return jet.partial_at(sigma)
+        return self.jets[name].partial_at(sigma)
 
     def perturb_exact(self, name, sigma):
         """Exact-mode variant of perturb: adds a dual epsilon to one jet-fiber
@@ -257,16 +239,10 @@ class JetPoint:
             fac *= math.factorial(e)
         jets = dict(self.jets)
         jet = jets[name]
-        bump = Dual(0, Fraction(1, fac))
-        if isinstance(jet, TaylorJet):
-            coeffs = list(jet.coeffs)
-            coeffs[sigma[0]] = coeffs[sigma[0]] + bump
-            jets[name] = TaylorJet(coeffs, jet.basepoint, exact=True)
-        else:
-            coeffs = list(jet.coeffs)
-            pos = _tables.index_of(jet.nvars, jet.order)[tuple(sigma)]
-            coeffs[pos] = coeffs[pos] + bump
-            jets[name] = MultiJet(jet.nvars, jet.order, coeffs, jet.basepoint, exact=True)
+        coeffs = list(jet.coeffs)
+        pos = _tables.index_of(jet.nvars, jet.order)[tuple(sigma)]
+        coeffs[pos] = coeffs[pos] + Dual(0, Fraction(1, fac))
+        jets[name] = MultiJet(jet.nvars, jet.order, coeffs, jet.basepoint, exact=True)
         return JetPoint(self.chart, self.basepoint, jets, self.order, True)
 
 
@@ -277,28 +253,17 @@ def _independent_env(chart, at, order, exact):
 
 def _independent_jet_list(chart, at, order, exact):
     p = chart.n_independent
-    if p == 1:
-        return [TaylorJet.variable(at[0], order, exact=exact)]
     return [MultiJet.variable(i, p, order, at, exact=exact) for i in range(p)]
 
 
 def _as_graph_jet(val, chart, at, order, exact):
     """Lift a constant evaluation result to a jet of the right shape."""
-    if isinstance(val, (TaylorJet, MultiJet)):
+    if isinstance(val, MultiJet):
         return val
-    p = chart.n_independent
-    if p == 1:
-        return TaylorJet.constant(val, order, at[0], exact=exact)
-    return MultiJet.constant(val, p, order, at, exact=exact)
+    return MultiJet.constant(val, chart.n_independent, order, at, exact=exact)
 
 
 # --- derivations --------------------------------------------------------------
-
-def jet_partial(f, direction):
-    if isinstance(f, TaylorJet):
-        return f.derivative()
-    return f.partial(direction)
-
 
 @dataclass(frozen=True)
 class Derivation:
@@ -309,7 +274,7 @@ class Derivation:
     def __call__(self, f):
         acc = None
         for i, a in enumerate(self.coeffs):
-            term = a * jet_partial(f, i)
+            term = a * f.partial(i)
             acc = term if acc is None else acc + term
         return acc
 
@@ -352,13 +317,8 @@ def pushforward(point, element):
     apply_fn = element.apply_point if hasattr(element, "apply_point") else element
     coords = point.space_coordinate_jets()
     image = apply_fn(coords)
-    indep_img = [image[i] for i in chart.independent]
-    p = chart.n_independent
     try:
-        if p == 1:
-            inv = invert_series(indep_img[0])
-        else:
-            inv = invert_series([_to_multi(j) for j in indep_img])
+        inv = invert_series([image[i] for i in chart.independent])
     except SingularLinearPart as err:
         raise GraphDegeneracy(
             f"transformed submanifold is not a graph over {chart.independent_names()}: {err}"
@@ -367,20 +327,8 @@ def pushforward(point, element):
         img_jets = [image[chart.space.index(name)] for name in chart.dependent]
     else:
         img_jets = [point.jets[name] for name in chart.dependent]
-    if p == 1:
-        moved = [compose(j, inv) for j in img_jets]
-        new_base = (inv.basepoint,)
-    else:
-        moved = compose_many([_to_multi(j) for j in img_jets], inv)
-        new_base = inv[0].basepoint
-    new_jets = dict(zip(chart.dependent, moved))
-    return JetPoint(chart, new_base, new_jets, point.order, point.exact)
-
-
-def _to_multi(jet):
-    if isinstance(jet, TaylorJet):
-        return MultiJet(1, jet.order, list(jet.coeffs), (jet.basepoint,), exact=jet.exact)
-    return jet
+    new_jets = dict(zip(chart.dependent, compose_many(img_jets, inv)))
+    return JetPoint(chart, inv[0].basepoint, new_jets, point.order, point.exact)
 
 
 def parametric_curve_point(chart, component_jets, order):
@@ -392,13 +340,9 @@ def parametric_curve_point(chart, component_jets, order):
     """
     first = component_jets[0]
     try:
-        inv = invert_series(first)
+        inv = invert_series([first])
     except SingularLinearPart as err:
         raise GraphDegeneracy(f"curve is not a graph over {chart.space.names[0]}") from err
-    jets = {}
-    for idx, name in enumerate(chart.space.names):
-        if idx == 0:
-            continue
-        jets[name] = compose(component_jets[idx], inv)
+    jets = dict(zip(chart.space.names[1:], compose_many(component_jets[1:], inv)))
     exact = any(j.exact for j in component_jets)
     return JetPoint(chart, (first.value(),), jets, order, exact)

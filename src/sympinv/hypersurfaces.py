@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateJet, StepDegenerate
-from .geometry import Derivation, jet_partial
+from .geometry import Derivation
 from .jetlinalg import _PivotFailure, is_negligible, kernel_vector, magnitude, solve
 from .jets import divide_all
 
@@ -32,8 +32,8 @@ def _data(point):
     p = point.chart.n_independent
     u = point.jets["u"]
     coords = point.independent_jets()
-    du = [jet_partial(u, i) for i in range(p)]
-    hess = [[jet_partial(du[i], j) for j in range(p)] for i in range(p)]
+    du = [u.partial(i) for i in range(p)]
+    hess = [[du[i].partial(j) for j in range(p)] for i in range(p)]
     return u, coords, du, hess
 
 

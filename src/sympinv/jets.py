@@ -1,11 +1,14 @@
 """Truncated power-series scalars carrying derivative data.
 
-`TaylorJet` (one variable) and `MultiJet` (several variables) store Taylor
-coefficients c_sigma = d^sigma f / sigma! around a basepoint and implement
-exact truncated arithmetic through their order.  Two coefficient modes exist:
+`MultiJet` stores the Taylor coefficients c_sigma = d^sigma f / sigma! of a
+function of p variables around a basepoint, over the graded-lex monomials of
+:mod:`sympinv._tables`, and implements exact truncated arithmetic through its
+order.  Every jet is a `MultiJet`: a curve's jets are the one-variable ones,
+``MultiJet(1, order, coeffs, (t0,))``, whose coefficient k is f^(k)(t0)/k!, and
+d/dt is ``partial(0)``.  Two coefficient modes exist:
 
 * float mode - coefficients in a float64 numpy vector, products computed by
-  the numpy kernels of :mod:`sympinv.kernels`;
+  the numpy kernel of :mod:`sympinv.kernels`;
 * exact mode - coefficients in a plain list of objects supporting field
   operations (``fractions.Fraction``, dual numbers, ...), used by the
   exact-rational oracles.
@@ -19,6 +22,11 @@ along; operands that share that object skip the basepoint tolerance check.
 Public construction rejects a non-finite basepoint, so a shared object is
 always a valid one.
 
+The reciprocal runs the graded recurrence r_0 = 1/a_0,
+r_d = -(sum_{e>=1} a_e r_{d-e})_d / a_0 over homogeneous parts (Griewank and
+Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): degree d of a * r
+vanishes for d >= 1, and its pairs with e = 0 hold r_d alone.
+
 Composition with an inner map g takes the monomial jets h^sigma of
 h = g - g(0) once and evaluates every outer against them (``compose_many``):
 the inversion composes all p components of its nonlinear part with the same
@@ -30,7 +38,6 @@ so its product runs over the suffix of the product table whose left factor
 has degree >= d - 1 (``_tables.suffix_tables``); the pairs it skips add
 exact zeros, so every coefficient keeps its bits.
 """
-
 from __future__ import annotations
 
 import math
@@ -46,7 +53,7 @@ from .errors import (
     OrderExhausted,
     SingularLinearPart,
 )
-from .kernels import mul1, mul_table
+from .kernels import mul_table
 
 _DIV_FLOOR = 1e-300  # constant terms below this are machine-degenerate divisors
 
@@ -77,190 +84,11 @@ def _factorial_multi(sigma):
 
 
 # ---------------------------------------------------------------------------
-# univariate jets
-# ---------------------------------------------------------------------------
-
-class TaylorJet:
-    """Univariate truncated series; coeffs[j] = f^(j)(t0)/j!."""
-
-    __slots__ = ("coeffs", "basepoint", "exact")
-
-    def __init__(self, coeffs, basepoint=0.0, exact=None):
-        if exact is None:
-            exact = not all(_is_plain_number(c) for c in coeffs)
-        if exact:
-            self.coeffs = list(coeffs)
-        else:
-            self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        _check_basepoint((basepoint,))
-        self.basepoint = basepoint
-        self.exact = exact
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value, order, basepoint=0.0, exact=False):
-        zero = value * 0
-        return cls([value] + [zero] * order, basepoint, exact=exact or not _is_plain_number(value))
-
-    @classmethod
-    def variable(cls, basepoint, order, exact=False):
-        one = Fraction(1) if exact else 1.0
-        zero = one * 0
-        coeffs = [basepoint] + ([one] + [zero] * (order - 1) if order >= 1 else [])
-        return cls(coeffs, basepoint, exact=exact)
-
-    # -- basic queries -------------------------------------------------------
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def value(self):
-        return self.coeffs[0]
-
-    def derivative_at(self, j):
-        """j-th derivative of the represented germ at the basepoint."""
-        if j > self.order:
-            raise OrderExhausted(f"derivative {j} of an order-{self.order} jet")
-        return self.coeffs[j] * math.factorial(j)
-
-    def truncate(self, new_order):
-        if new_order >= self.order:
-            return self
-        return self._new(self.coeffs[: new_order + 1], new_order, self.exact)
-
-    def derivative(self):
-        """Jet of f' (one order lower)."""
-        if self.order < 1:
-            raise OrderExhausted("cannot differentiate an order-0 jet")
-        if self.exact:
-            coeffs = [self.coeffs[j] * j for j in range(1, self.order + 1)]
-        else:
-            coeffs = self.coeffs[1:] * np.arange(1, self.order + 1)
-        return self._new(coeffs, self.order - 1, self.exact)
-
-    def __repr__(self):
-        return f"TaylorJet({list(self.coeffs)!r}, basepoint={self.basepoint!r})"
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _coerce(self, other):
-        """Align operands; returns (a_coeffs, b_coeffs, n, exact) or None."""
-        if isinstance(other, MultiJet):
-            raise TypeError("cannot mix TaylorJet with MultiJet")
-        if isinstance(other, TaylorJet):
-            if (other.basepoint is not self.basepoint
-                    and not _same_base(self.basepoint, other.basepoint,
-                                       self.exact and other.exact)):
-                raise BasepointMismatch(
-                    f"basepoints {self.basepoint!r} and {other.basepoint!r}"
-                )
-            n = min(self.order, other.order)
-            exact = self.exact or other.exact
-            a = list(self.coeffs[: n + 1]) if exact else self.coeffs[: n + 1]
-            b = list(other.coeffs[: n + 1]) if exact else other.coeffs[: n + 1]
-            return a, b, n, exact
-        return None
-
-    def _new(self, coeffs, order, exact):
-        """Result at this jet's basepoint object, bypassing ``__init__``.
-
-        ``coeffs`` must already be a list (exact) or a float64 vector (float).
-        """
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient vector does not match the order")
-        out = TaylorJet.__new__(TaylorJet)
-        out.coeffs = coeffs
-        out.basepoint = self.basepoint
-        out.exact = exact
-        return out
-
-    def __add__(self, other):
-        pair = self._coerce(other) if isinstance(other, (TaylorJet, MultiJet)) else None
-        if pair is not None:
-            a, b, n, exact = pair
-            if exact:
-                return self._new([x + y for x, y in zip(a, b)], n, True)
-            return self._new(a + b, n, False)
-        coeffs = list(self.coeffs) if self.exact else self.coeffs.copy()
-        coeffs[0] = coeffs[0] + other
-        return self._new(coeffs, self.order, self.exact)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.exact:
-            return self._new([-c for c in self.coeffs], self.order, True)
-        return self._new(-self.coeffs, self.order, False)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TaylorJet) else -1 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        pair = self._coerce(other) if isinstance(other, (TaylorJet, MultiJet)) else None
-        if pair is not None:
-            a, b, n, exact = pair
-            if exact:
-                out = []
-                for k in range(n + 1):
-                    acc = a[0] * b[k]
-                    for i in range(1, k + 1):
-                        acc = acc + a[i] * b[k - i]
-                    out.append(acc)
-                return self._new(out, n, True)
-            return self._new(mul1(a, b, n + 1), n, False)
-        if self.exact:
-            return self._new([c * other for c in self.coeffs], self.order, True)
-        return self._new(self.coeffs * float(other), self.order, False)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, TaylorJet):
-            return self * other.reciprocal()
-        return self * _scalar_reciprocal(other, self.exact)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def reciprocal(self):
-        """1/f by the Taylor recurrence r_k = -(sum_{i=1..k} a_i r_{k-i}) / a_0.
-
-        Coefficient k of f * r vanishes for k >= 1, which fixes r_k from the
-        lower ones: O(K^2) scalar operations and no intermediate jets.
-        """
-        c0 = self.coeffs[0]
-        if self.exact:
-            if c0 == 0:
-                raise DivisionByZeroJet("exact divisor with zero constant term")
-            a = self.coeffs
-        else:
-            if abs(c0) < _DIV_FLOOR:
-                raise DivisionByZeroJet(f"divisor constant term {c0!r}")
-            a = self.coeffs.tolist()
-            c0 = a[0]
-        r = [_scalar_reciprocal(c0, self.exact)]
-        for k in range(1, len(a)):
-            acc = a[1] * r[k - 1]
-            for i in range(2, k + 1):
-                acc = acc + a[i] * r[k - i]
-            r.append(-acc / c0)
-        return self._new(r if self.exact else np.array(r), self.order, self.exact)
-
-    def __pow__(self, expo):
-        return _jet_pow(self, expo)
-
-
-# ---------------------------------------------------------------------------
-# multivariate jets
+# jets
 # ---------------------------------------------------------------------------
 
 class MultiJet:
-    """Dense truncated series in several variables over graded-lex monomials."""
+    """Dense truncated series in one or several variables over graded-lex monomials."""
 
     __slots__ = ("nvars", "order", "coeffs", "basepoint", "exact")
 
@@ -353,15 +181,6 @@ class MultiJet:
         out[dst] = self.coeffs[src] * mult
         return self._new(out, self.order - 1, False)
 
-    def restrict_to_var(self, i):
-        """Univariate jet along variable i (others frozen at the basepoint)."""
-        coeffs = []
-        pos = _tables.index_of(self.nvars, self.order)
-        for j in range(self.order + 1):
-            sigma = tuple(j if k == i else 0 for k in range(self.nvars))
-            coeffs.append(self.coeffs[pos[sigma]])
-        return TaylorJet(coeffs, self.basepoint[i], exact=self.exact)
-
     def __repr__(self):
         return (f"MultiJet(nvars={self.nvars}, order={self.order}, "
                 f"basepoint={self.basepoint!r})")
@@ -369,8 +188,6 @@ class MultiJet:
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, TaylorJet):
-            raise TypeError("cannot mix MultiJet with TaylorJet")
         if isinstance(other, MultiJet):
             if other.nvars != self.nvars:
                 raise TypeError("variable counts differ")
@@ -403,7 +220,7 @@ class MultiJet:
         return out
 
     def __add__(self, other):
-        pair = self._coerce(other) if isinstance(other, (TaylorJet, MultiJet)) else None
+        pair = self._coerce(other)
         if pair is not None:
             a, b, n_ord, exact = pair
             if exact:
@@ -427,7 +244,7 @@ class MultiJet:
         return (-self) + other
 
     def __mul__(self, other):
-        pair = self._coerce(other) if isinstance(other, (TaylorJet, MultiJet)) else None
+        pair = self._coerce(other)
         if pair is not None:
             a, b, n_ord, exact = pair
             pi, pj, pr = _tables.product_table(self.nvars, n_ord)
@@ -455,18 +272,38 @@ class MultiJet:
         return self.reciprocal() * other
 
     def reciprocal(self):
-        c0 = self.coeffs[0]
+        """1/f by the graded recurrence, one homogeneous degree at a time.
+
+        r_0 = 1/a_0 and r_d = -(sum_{e>=1} a_e r_{d-e})_d / a_0, over the
+        pairs of ``_tables.reciprocal_plan``: O(one product) work and no
+        intermediate jets.  Float mode sums each degree with one
+        ``np.bincount`` and divides it by a_0; in one variable this is the
+        scalar Taylor recurrence r_k = -(a_1 r_{k-1} + ... + a_k r_0) / a_0,
+        bit for bit.
+        """
+        a = self.coeffs
+        c0 = a[0]
+        plan = _tables.reciprocal_plan(self.nvars, self.order)
         if self.exact:
             if c0 == 0:
                 raise DivisionByZeroJet("exact divisor with zero constant term")
-        elif abs(c0) < _DIV_FLOOR:
+            r = [_scalar_reciprocal(c0, True)]
+            zero = _zero_like(c0 * r[0])
+            for pi, pj, pr, width in plan:
+                acc = [zero] * width
+                for i, j, k in zip(pi, pj, pr):
+                    acc[k] = acc[k] + a[i] * r[j]
+                r.extend(-s / c0 for s in acc)
+            return self._new(r, self.order, True)
+        if abs(c0) < _DIV_FLOOR:
             raise DivisionByZeroJet(f"divisor constant term {c0!r}")
-        t = self / c0 - 1
-        res = self.constant(_one_like(c0), self.nvars, self.order, self.basepoint,
-                            exact=self.exact)
-        for _ in range(self.order):
-            res = 1 - t * res
-        return res / c0
+        r = np.empty(len(a))
+        r[0] = 1.0 / c0
+        start = 1
+        for pi, pj, pr, width in plan:
+            r[start:start + width] = -np.bincount(pr, weights=a[pi] * r[pj], minlength=width) / c0
+            start += width
+        return self._new(r, self.order, False)
 
     def __pow__(self, expo):
         return _jet_pow(self, expo)
@@ -510,8 +347,6 @@ def divide_all(values, divisor):
 
 
 def _const_like(jet, value):
-    if isinstance(jet, TaylorJet):
-        return TaylorJet.constant(value, jet.order, jet.basepoint, exact=jet.exact)
     return MultiJet.constant(value, jet.nvars, jet.order, jet.basepoint, exact=jet.exact)
 
 
@@ -612,7 +447,7 @@ def _binomial_coeffs(expo, order, exact):
 
 
 def _is_jet(x):
-    return isinstance(x, (TaylorJet, MultiJet))
+    return isinstance(x, MultiJet)
 
 
 def _analytic(x, float_fn, series_fn, exact_ok=False, name=""):
@@ -702,26 +537,6 @@ def cbrt(x):
 # composition and inversion
 # ---------------------------------------------------------------------------
 
-def compose(outer, inner):
-    """Jet of outer(inner(t)); inner's value must equal outer's basepoint."""
-    if isinstance(outer, MultiJet):
-        raise TypeError("use compose_multi for multivariate outer jets")
-    exact = outer.exact or inner.exact
-    if not _same_base(inner.value(), outer.basepoint, exact):
-        raise BasepointMismatch(
-            f"inner value {inner.value()!r} != outer basepoint {outer.basepoint!r}"
-        )
-    order = min(outer.order, inner.order)
-    h = (inner - inner.value()).truncate(order)
-    coeffs = list(outer.coeffs[: order + 1])
-    return _horner(h, coeffs)
-
-
-def compose_multi(outer, inners):
-    """Jet of outer(g_1(y),...,g_p(y)) for MultiJet outer in p variables."""
-    return compose_many([outer], inners)[0]
-
-
 def compose_many(outers, inners):
     """Jets of outer(g_1(y),...,g_p(y)) for every MultiJet outer in p variables.
 
@@ -730,7 +545,7 @@ def compose_many(outers, inners):
     each as h^parent * h_first along ``_tables.compose_plan``, and every
     outer is evaluated against them.  Result i has order
     min(outers[i].order, order of the inners), the basepoint object of the
-    first inner, and equals ``compose_multi(outers[i], inners)``.
+    first inner.
 
     Float mode stacks the monomial jets as the rows of one array and takes
     all outers in one contraction ``np.einsum("km,mn->kn", C, M)``.  einsum
@@ -748,9 +563,6 @@ def compose_many(outers, inners):
     """
     outers = list(outers)
     inners = list(inners)
-    if inners and all(isinstance(g, TaylorJet) for g in inners):
-        res = compose_many(outers, [_taylor_to_multi(g) for g in inners])
-        return [r.restrict_to_var(0) for r in res]
     p = len(inners)
     exact = any(o.exact for o in outers) or any(g.exact for g in inners)
     for outer in outers:
@@ -814,12 +626,12 @@ def _linear_part_matrix(jets):
     return rows
 
 
-def invert_series(s):
+def invert_series(jets):
     """Inverse of a jet map through its order.
 
-    Accepts a single TaylorJet (p = 1) or a sequence of p MultiJets in p
-    variables; returns the jet(s) of the inverse map centered at the image
-    point, so compose(s, invert_series(s)) is the identity through order K.
+    Takes a sequence of p jets in p variables and returns the p jets of the
+    inverse map centered at the image point, so
+    ``compose_many(jets, invert_series(jets))`` is the identity through order K.
 
     Writing s(x) = b + L(x - a) + N(x - a) with N of order >= 2, the inverse
     t solves t = a + L^-1 (y - b - N(t - a)).  Starting from the affine t_1,
@@ -829,19 +641,7 @@ def invert_series(s):
     Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  Exact-mode results
     equal those of K - 1 full-order passes.
     """
-    if isinstance(s, TaylorJet):
-        inv = _invert_multi([_taylor_to_multi(s)])
-        return inv[0].restrict_to_var(0)
-    return _invert_multi(list(s))
-
-
-def _taylor_to_multi(t):
-    n = _tables.count(1, t.order)
-    assert n == t.order + 1
-    return MultiJet(1, t.order, list(t.coeffs), (t.basepoint,), exact=t.exact)
-
-
-def _invert_multi(jets):
+    jets = list(jets)
     p = len(jets)
     if any(g.nvars != p for g in jets):
         raise TypeError("need p jets in p variables")
@@ -937,12 +737,18 @@ def _fully_zero(x):
     return x == 0 or (getattr(x, "re", 1) == 0 and getattr(x, "eps", 1) == 0)
 
 
-def total_derivative(f, direction=0):
-    """Total derivative along one base variable of a graph-restricted jet.
+# ---------------------------------------------------------------------------
+# names bound by bench/tracer.py, their only user
+# ---------------------------------------------------------------------------
+# The benchmark's tracer wraps these by name and stops when one is missing;
+# nothing in sympinv calls them.
 
-    On jets whose dependent-variable data is already substituted this realizes
-    the total derivative operator, since d/dx_i sees the full chain.
-    """
-    if isinstance(f, TaylorJet):
-        return f.derivative()
-    return f.partial(direction)
+TaylorJet = MultiJet
+
+
+def compose(outer, inner):
+    return compose_many([outer], [inner])[0]
+
+
+def compose_multi(outer, inners):
+    return compose_many([outer], inners)[0]

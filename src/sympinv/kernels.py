@@ -1,6 +1,6 @@
-"""The truncated-series product kernels under every float jet product.
+"""The truncated-series product kernel under every float jet product.
 
-Both are plain numpy: the kernel is a small share of any pushforward or
+It is plain numpy: the kernel is a small share of any pushforward or
 invariant sweep, which is dominated by per-operation Python overhead.
 """
 
@@ -8,7 +8,10 @@ import numpy as np
 
 
 def mul1(a, b, n_out):
-    """Truncated univariate product: first n_out coefficients of a*b."""
+    """Truncated univariate product: first n_out coefficients of a*b.
+
+    Nothing in sympinv calls it; bench/tracer.py binds it by name.
+    """
     return np.convolve(a, b)[:n_out]
 
 

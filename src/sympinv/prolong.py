@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _tables
 from .errors import NonGenericSample
-from .geometry import CHARTS, JetPoint, jet_partial
+from .geometry import CHARTS, JetPoint
 from .symplectic import algebra_basis, contact_algebra_basis
 
 
@@ -31,7 +31,7 @@ def generating_functions(field, point):
         acc = b
         ujet = point.jets[name]
         for pos in range(chart.n_independent):
-            acc = acc - a_jets[pos] * jet_partial(ujet, pos)
+            acc = acc - a_jets[pos] * ujet.partial(pos)
         phi[name] = acc
     return a_jets, phi
 
@@ -61,8 +61,6 @@ def _value_of(x):
 def _partial_value(jet, sigma):
     if hasattr(jet, "partial_at"):
         return float(jet.partial_at(sigma))
-    if hasattr(jet, "derivative_at"):
-        return float(jet.derivative_at(sigma[0]))
     return float(jet) if sum(sigma) == 0 else 0.0
 
 

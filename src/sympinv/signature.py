@@ -25,7 +25,7 @@ from . import surfaces as srf_mod
 from .errors import AllSamplesDegenerate, GeometryError, IncomparableClouds, JetError, NonFinite
 from .exprs import evaluate
 from .geometry import CHARTS, JetPoint, apply_word, default_order, parametric_curve_point
-from .jets import TaylorJet
+from .jets import MultiJet
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,10 @@ def sample_psi(defs, geometry, flavor, n, samples, depth, window, seed, order=No
 
 def _parameter_jet(ast, s, order):
     """One coordinate of a parametric curve as a jet in its parameter at s."""
-    s_jet = TaylorJet.variable(s, order)
+    at = (s,)
+    s_jet = MultiJet.variable(0, 1, order, at)
     value = evaluate(ast, {ast.free_vars[0]: s_jet} if ast.free_vars else {})
-    return value if hasattr(value, "coeffs") else TaylorJet.constant(value, order, s)
+    return value if isinstance(value, MultiJet) else MultiJet.constant(value, 1, order, at)
 
 
 def signature_of(defs, geometry, flavor, n=None, samples=64, depth=1,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateQ1, LagrangianTangent, SigmaDegenerate
-from .geometry import Derivation, jet_partial
+from .geometry import Derivation
 from .jetlinalg import _PivotFailure, is_negligible, magnitude, nullspace_basis, solve
 
 
@@ -33,10 +33,10 @@ class SurfaceFrame:
 def _surface_data(point):
     x = point.jets["x"]
     y = point.jets["y"]
-    xt, xs = jet_partial(x, 0), jet_partial(x, 1)
-    yt, ys = jet_partial(y, 0), jet_partial(y, 1)
-    hx = [[jet_partial(xt, 0), jet_partial(xt, 1)], [jet_partial(xs, 0), jet_partial(xs, 1)]]
-    hy = [[jet_partial(yt, 0), jet_partial(yt, 1)], [jet_partial(ys, 0), jet_partial(ys, 1)]]
+    xt, xs = x.partial(0), x.partial(1)
+    yt, ys = y.partial(0), y.partial(1)
+    hx = [[xt.partial(0), xt.partial(1)], [xs.partial(0), xs.partial(1)]]
+    hy = [[yt.partial(0), yt.partial(1)], [ys.partial(0), ys.partial(1)]]
     return x, y, (xt, xs), (yt, ys), hx, hy
 
 

@@ -133,12 +133,12 @@ class Poly:
 
 
 def _exactish(args):
-    from .jets import MultiJet, TaylorJet
+    from .jets import MultiJet
 
     for a in args:
         if isinstance(a, Fraction):
             return True
-        if isinstance(a, (TaylorJet, MultiJet)) and a.exact:
+        if isinstance(a, MultiJet) and a.exact:
             return True
         if a.__class__.__name__ == "Dual":
             return True

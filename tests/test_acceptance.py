@@ -25,7 +25,7 @@ from sympinv.cli import main as cli_main
 from sympinv.errors import GeometryError, JetError
 from sympinv.exprs import BinOp, ExprAst, Neg, Num, Pow, Var, evaluate, parse
 from sympinv.geometry import CHARTS, JetPoint, curve_chart, function_chart, pushforward
-from sympinv.jets import MultiJet, TaylorJet, compose, compose_multi, invert_series
+from sympinv.jets import MultiJet, compose_many, invert_series
 from sympinv.prolong import jet_space_dimension, orbit_dimension
 from sympinv.signature import generator_map, _as_float
 from sympinv.symplectic import random_contact_lift, random_group_element
@@ -118,10 +118,7 @@ def _jittered(point, rng, rel=1e-7):
     for name, jet in point.jets.items():
         coeffs = np.asarray(jet.coeffs, dtype=float)
         noise = 1.0 + rel * rng.uniform(-1.0, 1.0, size=coeffs.shape)
-        if isinstance(jet, TaylorJet):
-            jets[name] = TaylorJet(coeffs * noise, jet.basepoint)
-        else:
-            jets[name] = MultiJet(jet.nvars, jet.order, coeffs * noise, jet.basepoint)
+        jets[name] = MultiJet(jet.nvars, jet.order, coeffs * noise, jet.basepoint)
     return JetPoint(point.chart, point.basepoint, jets, point.order, point.exact)
 
 
@@ -433,9 +430,9 @@ def test_criterion_7_kernel_properties():
     worst_rt = 0.0
     for _ in range(25):
         coeffs = np.concatenate([[nrng.uniform(0.3, 1.2)], [1.0], nrng.uniform(-0.8, 0.8, 4)])
-        s = TaylorJet(coeffs, 0.4)
-        rt = compose(s, invert_series(s))
-        ident = TaylorJet.variable(s.value(), s.order)
+        s = MultiJet(1, len(coeffs) - 1, coeffs, (0.4,))
+        rt = compose_many([s], invert_series([s]))[0]
+        ident = MultiJet.variable(0, 1, s.order, (s.value(),))
         worst_rt = max(worst_rt, float(np.max(np.abs(np.asarray(rt.coeffs) - ident.coeffs))))
     for _ in range(10):
         p, order = 2, 4
@@ -453,7 +450,7 @@ def test_criterion_7_kernel_properties():
             comps.append(m + extra)
         inv = invert_series(comps)
         for i in range(p):
-            rt = compose_multi(comps[i], inv)
+            rt = compose_many([comps[i]], inv)[0]
             ident = MultiJet.variable(i, p, order, inv[0].basepoint)
             worst_rt = max(worst_rt, float(np.max(np.abs(np.asarray(rt.coeffs) - ident.coeffs))))
 

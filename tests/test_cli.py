@@ -3,12 +3,13 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympinv import _tables
@@ -212,8 +213,20 @@ def argvs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=argvs(), texts=st.tuples(_SMALL_JOBS, _SMALL_JOBS))
+@example(argv=["signature", "--job", "@job", "--out", "stray.json"],
+         texts=(job_text("curve", (1.0, 2.0), 2, 1, 0, "json"),) * 2)
+@example(argv=["invariants", "--job", "\x00"],
+         texts=(job_text("curve", (1.0, 2.0), 1, 0, 0, "csv"),) * 2)
+@example(argv=["signature", "--job", "@job", "--out", "a\x00b"],
+         texts=(job_text("curve", (1.0, 2.0), 1, 0, 0, "json"),) * 2)
 def test_any_argv_exits_with_a_documented_code(argv, texts):
-    """Every argv ends in exit code 0-5 (argparse exits 0 or 2), never a traceback."""
+    """Every argv ends in exit code 0-5 (argparse exits 0 or 2), never a traceback.
+
+    Each example runs in its own temporary directory, so a stray token taken
+    as a relative output path writes nothing where the tests run.
+    """
+    start = os.getcwd()
+    listing = sorted(os.listdir(start))
     with tempfile.TemporaryDirectory() as tmp:
         paths = dict(zip(_PATHS, [f"{tmp}/a.job", f"{tmp}/b.job", f"{tmp}/none.job", tmp,
                                   f"{tmp}/missing/out.json", f"{tmp}/out.json"]))
@@ -221,15 +234,26 @@ def test_any_argv_exits_with_a_documented_code(argv, texts):
             with open(paths[key], "w", encoding="utf-8") as fh:
                 fh.write(text)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main([paths.get(a, a) for a in argv])
-            except SystemExit as exc:
-                code = exc.code
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([paths.get(a, a) for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(start)
     assert code in range(6), (argv, err.getvalue())
+    assert sorted(os.listdir(start)) == listing
 
 
 class TestInvariantsCommand:
+    def test_job_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.job"
+        path.write_bytes(b"geometry = curve\n\xff\xfe\n")
+        assert main(["invariants", "--job", str(path)]) == 2
+        assert "cannot read job file" in capsys.readouterr().err
+
     def test_csv_rows_and_formula(self, tmp_path, capsys):
         path = write(tmp_path, "parabola.job", PARABOLA)
         code = main(["invariants", "--job", path])

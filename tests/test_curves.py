@@ -12,7 +12,7 @@ from sympinv.curves import bell_coefficients
 from sympinv.errors import DegenerateJet
 from sympinv.exprs import parse
 from sympinv.geometry import JetPoint, curve_chart, parametric_curve_point
-from sympinv.jets import TaylorJet
+from sympinv.jets import MultiJet
 
 
 def plane_curve(expr_text, x0, order=6, exact=False):
@@ -174,7 +174,7 @@ class TestSpaceCurves:
         # phi(s) = 0.2 s^3 + 0.5 s + c chosen so phi(s0) = t0
         s0 = 0.8
         phi_const = t0 - (0.2 * s0**3 + 0.5 * s0)
-        s_jet = TaylorJet.variable(s0, order)
+        s_jet = MultiJet.variable(0, 1, order, (s0,))
         phi = 0.2 * s_jet**3 + 0.5 * s_jet + phi_const
         comps = [phi]
         for name in ("x", "y", "z"):

@@ -197,8 +197,8 @@ class TestPushforward:
         yj = out.jets["y"]
         assert out.basepoint[0] == pytest.approx(1.0)
         assert yj.value() == pytest.approx(1 + c)
-        assert yj.derivative_at(1) == pytest.approx(2 + c)
-        assert yj.derivative_at(2) == pytest.approx(2.0)
+        assert yj.partial_at((1,)) == pytest.approx(2 + c)
+        assert yj.partial_at((2,)) == pytest.approx(2.0)
 
     def test_translation_shifts_base_only(self):
         chart = function_chart(1)

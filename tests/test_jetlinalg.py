@@ -7,7 +7,7 @@ import pytest
 
 from sympinv import _tables, jetlinalg
 from sympinv.jetlinalg import _PivotFailure, _unit_like, is_negligible, magnitude
-from sympinv.jets import MultiJet, TaylorJet, divide_all
+from sympinv.jets import MultiJet, divide_all
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ class TestOneReciprocalPerRow:
 
 
 def test_divide_all_keeps_plain_division_for_a_scalar_divisor():
-    xs = [0.1, 0.7, TaylorJet([0.3, 0.2], 0.0)]
+    xs = [0.1, 0.7, MultiJet(1, 1, [0.3, 0.2], (0.0,))]
     out = divide_all(xs, 3.0)
     assert out[0] == 0.1 / 3.0 and out[1] == 0.7 / 3.0
     assert out[2].coeffs.tobytes() == (xs[2] / 3.0).coeffs.tobytes()
@@ -130,17 +130,17 @@ def test_divide_all_keeps_plain_division_for_a_scalar_divisor():
 
 
 def test_divide_all_takes_one_reciprocal(monkeypatch):
-    d = TaylorJet([2.0, 0.5, -0.25], 0.0)
-    xs = [TaylorJet([1.0, 1.0, 1.0], 0.0), 0.5, Fraction(1, 3)]
+    d = MultiJet(1, 2, [2.0, 0.5, -0.25], (0.0,))
+    xs = [MultiJet(1, 2, [1.0, 1.0, 1.0], (0.0,)), 0.5, Fraction(1, 3)]
     want = [x / d for x in xs]
     calls = []
-    real = TaylorJet.reciprocal
+    real = MultiJet.reciprocal
 
     def counting(self):
         calls.append(self)
         return real(self)
 
-    monkeypatch.setattr(TaylorJet, "reciprocal", counting)
+    monkeypatch.setattr(MultiJet, "reciprocal", counting)
     got = divide_all(xs, d)
     assert len(calls) == 1
     for g, w in zip(got, want):

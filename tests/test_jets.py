@@ -18,13 +18,24 @@ from sympinv.errors import (
     OrderExhausted,
     SingularLinearPart,
 )
-from sympinv.jets import MultiJet, TaylorJet, compose, compose_multi, invert_series
+from sympinv.jets import MultiJet, compose_many, invert_series
+
+
+def uni(coeffs, t0=0.0, exact=None):
+    """The one-variable jet with these coefficients at t0."""
+    return MultiJet(1, len(coeffs) - 1, coeffs, (t0,), exact=exact)
+
+
+def compose1(outer, inner):
+    """Jet of outer(inner(t)) for one-variable jets."""
+    return compose_many([outer], [inner])[0]
 
 
 def poly_jet(coeffs, t0, order, exact=False):
     """Jet of sum coeffs[k] t^k at t0, built by Horner on jet scalars."""
-    t = TaylorJet.variable(t0, order, exact=exact)
-    acc = TaylorJet.constant(coeffs[-1] if exact else float(coeffs[-1]), order, t0, exact=exact)
+    t = MultiJet.variable(0, 1, order, (t0,), exact=exact)
+    acc = MultiJet.constant(coeffs[-1] if exact else float(coeffs[-1]), 1, order, (t0,),
+                            exact=exact)
     for c in reversed(coeffs[:-1]):
         acc = acc * t + c
     return acc
@@ -57,10 +68,10 @@ class TestUnivariateArithmetic:
         assert np.allclose(inv.coeffs, [1.0, 1.0, 1.0, 1.0])
 
     def test_cbrt_of_constant_eight(self):
-        c = TaylorJet.constant(8.0, 2)
+        c = MultiJet.constant(8.0, 1, 2, (0.0,))
         r = jets.cbrt(c)
         assert np.allclose(r.coeffs, [2.0, 0.0, 0.0])
-        ce = TaylorJet.constant(Fraction(8), 2, exact=True)
+        ce = MultiJet.constant(Fraction(8), 1, 2, (0.0,), exact=True)
         re = jets.cbrt(ce)
         assert re.coeffs[0] == Fraction(2)
 
@@ -73,11 +84,11 @@ class TestUnivariateArithmetic:
             jet = poly_jet(list(coeffs), t0, deg)
             for j in range(deg + 1):
                 expected = poly_eval(poly_derivative(list(coeffs), j), t0)
-                got = jet.derivative_at(j)
+                got = jet.partial_at((j,))
                 assert got == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
     def test_division_and_elementary_functions_consistency(self):
-        t = TaylorJet.variable(0.3, 5)
+        t = MultiJet.variable(0, 1, 5, (0.3,))
         lhs = jets.exp(jets.log(1 + t * t))
         rhs = 1 + t * t
         assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-14)
@@ -88,42 +99,42 @@ class TestUnivariateArithmetic:
         rng = np.random.default_rng(3)
         a_coeffs = rng.uniform(0.5, 2, size=7)
         b_coeffs = rng.uniform(0.5, 2, size=7)
-        a_hi = TaylorJet(a_coeffs, 0.1)
-        b_hi = TaylorJet(b_coeffs, 0.1)
+        a_hi = uni(a_coeffs, 0.1)
+        b_hi = uni(b_coeffs, 0.1)
         hi = (a_hi * b_hi / (a_hi + b_hi)).truncate(4)
         lo = a_hi.truncate(4) * b_hi.truncate(4) / (a_hi.truncate(4) + b_hi.truncate(4))
         assert np.allclose(hi.coeffs, lo.coeffs, rtol=1e-13)
 
     def test_mixed_order_operands_truncate_to_min(self):
-        a = TaylorJet([1.0, 2.0, 3.0, 4.0], 0.0)
-        b = TaylorJet([2.0, 1.0], 0.0)
+        a = uni([1.0, 2.0, 3.0, 4.0])
+        b = uni([2.0, 1.0])
         assert (a * b).order == 1
 
     def test_division_by_zero_jet(self):
-        z = TaylorJet([0.0, 1.0], 0.0)
+        z = uni([0.0, 1.0])
         with pytest.raises(DivisionByZeroJet):
             _ = 1 / z
 
     def test_log_domain_error(self):
-        c = TaylorJet.constant(-1.0, 2)
+        c = MultiJet.constant(-1.0, 1, 2, (0.0,))
         with pytest.raises(DomainError):
             jets.log(c)
 
     def test_exact_mode_rejects_transcendentals(self):
-        c = TaylorJet.constant(Fraction(1), 2, exact=True)
+        c = MultiJet.constant(Fraction(1), 1, 2, (0.0,), exact=True)
         with pytest.raises(DomainError):
             jets.exp(c)
 
     def test_exact_mode_sqrt_perfect_square_only(self):
-        good = TaylorJet.constant(Fraction(9, 4), 2, exact=True)
+        good = MultiJet.constant(Fraction(9, 4), 1, 2, (0.0,), exact=True)
         assert jets.sqrt(good).coeffs[0] == Fraction(3, 2)
-        bad = TaylorJet.constant(Fraction(2), 2, exact=True)
+        bad = MultiJet.constant(Fraction(2), 1, 2, (0.0,), exact=True)
         with pytest.raises(DomainError):
             jets.sqrt(bad)
 
     def test_basepoint_mismatch(self):
-        a = TaylorJet.variable(0.0, 2)
-        b = TaylorJet.variable(1.0, 2)
+        a = MultiJet.variable(0, 1, 2, (0.0,))
+        b = MultiJet.variable(0, 1, 2, (1.0,))
         with pytest.raises(BasepointMismatch):
             _ = a + b
 
@@ -132,10 +143,10 @@ class TestUnivariateArithmetic:
         for _ in range(30):
             a_int = [int(x) for x in rng.integers(-4, 5, size=5)]
             b_int = [int(x) for x in rng.integers(1, 5, size=5)]
-            af = TaylorJet([float(x) for x in a_int], 0.0)
-            bf = TaylorJet([float(x) for x in b_int], 0.0)
-            ae = TaylorJet([Fraction(x) for x in a_int], 0.0, exact=True)
-            be = TaylorJet([Fraction(x) for x in b_int], 0.0, exact=True)
+            af = uni([float(x) for x in a_int])
+            bf = uni([float(x) for x in b_int])
+            ae = uni([Fraction(x) for x in a_int], exact=True)
+            be = uni([Fraction(x) for x in b_int], exact=True)
             got = (af * bf + af) / bf
             want = (ae * be + ae) / be
             assert np.allclose(got.coeffs, [float(c) for c in want.coeffs], rtol=1e-13)
@@ -145,13 +156,13 @@ class TestComposition:
     def test_square_after_shift(self):
         outer = poly_jet([0, 0, 1], 1.0, 2)  # s^2 at s0=1
         inner = poly_jet([1, 1], 0.0, 2)  # 1 + t
-        res = compose(outer, inner)
+        res = compose1(outer, inner)
         assert np.allclose(res.coeffs, [1.0, 2.0, 1.0])
 
     def test_identity_outer(self):
         inner = poly_jet([0.3, 1.5, -0.2], 0.0, 2)
-        outer = TaylorJet.variable(inner.value(), 2)
-        res = compose(outer, inner)
+        outer = MultiJet.variable(0, 1, 2, (inner.value(),))
+        res = compose1(outer, inner)
         assert np.allclose(res.coeffs, inner.coeffs)
 
     def test_cube_of_t_plus_t_squared(self):
@@ -168,7 +179,7 @@ class TestComposition:
         cube[: len(acc)] = acc
         outer = poly_jet([0, 0, 0, 1], 0.0, 3)  # s^3
         inner = poly_jet([0, 1, 1], 0.0, 3)  # t + t^2
-        res = compose(outer, inner)
+        res = compose1(outer, inner)
         assert np.allclose(res.coeffs, cube[:4])
         assert cube[:4] == [0, 0, 0, 1]
 
@@ -176,18 +187,18 @@ class TestComposition:
         outer = poly_jet([0, 0, 1], 5.0, 2)
         inner = poly_jet([1, 1], 0.0, 2)
         with pytest.raises(BasepointMismatch):
-            compose(outer, inner)
+            compose1(outer, inner)
 
 
 class TestInversion:
     def test_scale_by_two(self):
         s = poly_jet([0, 2], 0.0, 3)
-        inv = invert_series(s)
+        (inv,) = invert_series([s])
         assert np.allclose(inv.coeffs, [0.0, 0.5, 0.0, 0.0])
 
     def test_t_plus_t_squared(self):
         s = poly_jet([0, 1, 1], 0.0, 2)
-        inv = invert_series(s)
+        (inv,) = invert_series([s])
         assert np.allclose(inv.coeffs, [0.0, 1.0, -1.0])
 
     def test_identity_two_variables(self):
@@ -200,10 +211,10 @@ class TestInversion:
         rng = np.random.default_rng(5)
         for _ in range(20):
             coeffs = np.concatenate([[rng.uniform(0.2, 1.0)], [1.0], rng.uniform(-1, 1, 4)])
-            s = TaylorJet(coeffs, 0.5)
-            inv = invert_series(s)
-            rt = compose(s, inv)
-            expect = TaylorJet.variable(inv.basepoint, s.order)
+            s = uni(coeffs, 0.5)
+            inv = invert_series([s])
+            rt = compose_many([s], inv)[0]
+            expect = MultiJet.variable(0, 1, s.order, inv[0].basepoint)
             assert np.allclose(rt.coeffs, expect.coeffs, atol=1e-12)
 
     def test_round_trip_multivariate(self):
@@ -221,14 +232,14 @@ class TestInversion:
             comps.append(lin + m * 0.3)
         inv = invert_series(comps)
         for i in range(p):
-            rt = compose_multi(comps[i], inv)
+            rt = compose_many([comps[i]], inv)[0]
             expect = MultiJet.variable(i, p, order, inv[0].basepoint)
             assert np.allclose(rt.coeffs, expect.coeffs, atol=1e-12)
 
     def test_singular_linear_part(self):
         s = poly_jet([0, 0, 1], 0.0, 3)  # t^2 has no inverse at 0
         with pytest.raises(SingularLinearPart):
-            invert_series(s)
+            invert_series([s])
 
 
 class TestMultiJet:
@@ -244,40 +255,35 @@ class TestMultiJet:
     def test_total_derivative_of_square(self):
         x = MultiJet.variable(0, 1, 2, (1.5,))
         f = x * x
-        d = jets.total_derivative(f, 0)
+        d = f.partial(0)
         assert d.order == 1
         assert d.value() == pytest.approx(3.0)
         assert d.partial_at((1,)) == pytest.approx(2.0)
 
     def test_total_derivative_of_constant(self):
         c = MultiJet.constant(5.0, 2, 2, (0.0, 0.0))
-        d = jets.total_derivative(c, 0)
+        d = c.partial(0)
         assert np.allclose(d.coeffs, 0.0)
 
     def test_total_derivative_mixed(self):
         base = (0.7, -1.2)
         x = MultiJet.variable(0, 2, 2, base)
         y = MultiJet.variable(1, 2, 2, base)
-        d = jets.total_derivative(x * y, 0)
+        d = (x * y).partial(0)
         assert d.value() == pytest.approx(base[1])
         assert d.partial_at((0, 1)) == pytest.approx(1.0)
 
     def test_order_exhausted(self):
         c = MultiJet.constant(1.0, 2, 0, (0.0, 0.0))
         with pytest.raises(OrderExhausted):
-            jets.total_derivative(c, 0)
+            c.partial(0)
 
-    def test_restriction_to_variable(self):
-        base = (0.4, 1.1)
-        x = MultiJet.variable(0, 2, 3, base)
-        y = MultiJet.variable(1, 2, 3, base)
-        f = x * x * y + y
-        r = f.restrict_to_var(0)
-        assert isinstance(r, TaylorJet)
-        # freeze y at its base value and compare against the 1-d polynomial
-        t = TaylorJet.variable(base[0], 3)
-        expect = t * t * base[1] + base[1]
-        assert np.allclose(r.coeffs, expect.coeffs)
+    def test_variable_counts_must_match(self):
+        t = MultiJet.variable(0, 1, 2, (0.5,))
+        x = MultiJet.variable(0, 2, 2, (0.5, 1.0))
+        for op in (operator.add, operator.mul, operator.truediv):
+            with pytest.raises(TypeError, match="variable counts differ"):
+                op(t, x)
 
     def test_partial_at_matches_value(self):
         base = (1.0, 2.0)
@@ -369,10 +375,52 @@ def horner_reciprocal(x):
     c0 = x.coeffs[0]
     one = Fraction(1) if x.exact else 1.0
     t = x / c0 - 1
-    res = TaylorJet.constant(one, x.order, x.basepoint, exact=x.exact)
+    res = jets._const_like(x, one)
     for _ in range(x.order):
         res = 1 - t * res
     return res / c0
+
+
+def taylor_reciprocal(coeffs, exact):
+    """1/f in one variable by r_k = -(a_1 r_{k-1} + ... + a_k r_0) / a_0 on scalars."""
+    a = list(coeffs) if exact else [float(c) for c in coeffs]
+    r = [Fraction(1) / a[0] if exact else 1.0 / a[0]]
+    for k in range(1, len(a)):
+        acc = a[1] * r[k - 1]
+        for i in range(2, k + 1):
+            acc = acc + a[i] * r[k - i]
+        r.append(-acc / a[0])
+    return r
+
+
+def horner_compose(outer, inner):
+    """Jet of outer(inner(t)) in one variable by Horner on h = inner - inner(0)."""
+    order = min(outer.order, inner.order)
+    h = (inner - inner.value()).truncate(order)
+    res = jets._const_like(h, outer.coeffs[order])
+    for c in reversed(list(outer.coeffs[:order])):
+        res = res * h + c
+    return res
+
+
+def random_divisor(rng, p, order, mode):
+    """A jet in p variables with a constant term away from zero."""
+    from sympinv.rational import Dual
+
+    n = _tables.count(p, order)
+    if mode == "float":
+        coeffs = rng.uniform(-2, 2, size=n)
+        coeffs[0] = rng.uniform(1, 2) * rng.choice([-1, 1])
+        return MultiJet(p, order, coeffs, (0.25,) * p)
+
+    def frac():
+        return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5)))
+
+    coeffs = [frac() for _ in range(n)]
+    coeffs[0] = Fraction(int(rng.choice([-3, -2, -1, 1, 2, 3])), int(rng.integers(1, 5)))
+    if mode == "dual":
+        coeffs = [Dual(c, frac()) for c in coeffs]
+    return MultiJet(p, order, coeffs, (Fraction(1, 3),) * p, exact=True)
 
 
 def assert_float_close(got, want, rtol=1e-13):
@@ -456,17 +504,19 @@ class TestReplacedAlgorithms:
                 assert g.coeffs == want.coeffs
 
     def test_compose_many_of_univariate_inner(self):
+        """One-variable composition against the univariate Horner it replaced."""
         rng = np.random.default_rng(41)
-        for exact in (False, True):
-            outers, (inner,) = random_composition(rng, 1, 5, "fraction" if exact else "float")
-            uni = inner.restrict_to_var(0)
-            for got, outer in zip(jets.compose_many(outers, [uni]), outers):
-                want = compose(outer.restrict_to_var(0), uni)
-                assert isinstance(got, TaylorJet) and got.order == want.order
-                if exact:
-                    assert got.coeffs == want.coeffs
-                else:
-                    assert_float_close(got.coeffs, want.coeffs)
+        for order in range(1, 11):
+            for exact in (False, True):
+                outers, (inner,) = random_composition(rng, 1, order,
+                                                      "fraction" if exact else "float")
+                for got, outer in zip(jets.compose_many(outers, [inner]), outers):
+                    want = horner_compose(outer, inner)
+                    assert got.order == want.order
+                    if exact:
+                        assert got.coeffs == want.coeffs
+                    else:
+                        assert_float_close(got.coeffs, want.coeffs)
 
     @pytest.mark.parametrize("p,order", [(1, 6), (2, 4), (3, 3)])
     def test_inverse_equals_fixed_point_exact(self, p, order):
@@ -496,35 +546,47 @@ class TestReplacedAlgorithms:
         for exact in (False, True):
             for order in range(1, 7):
                 (m,) = random_map(rng, 1, order, exact=exact)
-                s = m.restrict_to_var(0)
-                got = invert_series(s)
+                (got,) = invert_series([m])
                 (want,) = fixed_point_inverse([m])
-                assert isinstance(got, TaylorJet) and got.order == order
+                assert got.order == order
                 if exact:
                     assert got.coeffs == want.coeffs
                 else:
                     assert_float_close(got.coeffs, want.coeffs)
 
     def test_reciprocal_matches_horner(self):
+        """The graded recurrence against the Horner loop it replaced."""
         rng = np.random.default_rng(37)
-        for order in range(0, 7):
-            for _ in range(5):
-                ints = [int(x) for x in rng.integers(-5, 6, size=order + 1)]
-                ints[0] = int(rng.choice([-3, -2, -1, 1, 2, 3]))
-                den = int(rng.integers(1, 5))
-                exact = TaylorJet([Fraction(c, den) for c in ints], Fraction(1, 3), exact=True)
-                assert exact.reciprocal().coeffs == horner_reciprocal(exact).coeffs
-                coeffs = rng.uniform(-2, 2, size=order + 1)
-                coeffs[0] = rng.uniform(1, 2)
-                flt = TaylorJet(coeffs, 0.25)
-                assert_float_close(flt.reciprocal().coeffs, horner_reciprocal(flt).coeffs)
+        for p in (1, 2, 3):
+            for order in range(0, 7):
+                for _ in range(3):
+                    exact = random_divisor(rng, p, order, "fraction")
+                    assert exact.reciprocal().coeffs == horner_reciprocal(exact).coeffs
+                    flt = random_divisor(rng, p, order, "float")
+                    assert_float_close(flt.reciprocal().coeffs, horner_reciprocal(flt).coeffs)
 
     def test_reciprocal_of_dual_coefficients_matches_horner(self):
         from sympinv.rational import Dual
 
-        x = TaylorJet([Dual(2, 1), Dual(Fraction(1, 3), -2), Dual(-1, 0), Dual(5, 7)],
-                      Fraction(0), exact=True)
+        x = uni([Dual(2, 1), Dual(Fraction(1, 3), -2), Dual(-1, 0), Dual(5, 7)], Fraction(0),
+                exact=True)
         assert x.reciprocal().coeffs == horner_reciprocal(x).coeffs
+        rng = np.random.default_rng(38)
+        for p in (1, 2, 3):
+            for order in range(0, 7 - p):
+                x = random_divisor(rng, p, order, "dual")
+                assert x.reciprocal().coeffs == horner_reciprocal(x).coeffs
+
+    def test_univariate_reciprocal_is_the_taylor_recurrence(self):
+        """In one variable the graded reciprocal has the scalar recurrence's bits."""
+        rng = np.random.default_rng(39)
+        for order in range(0, 13):
+            for _ in range(20):
+                flt = random_divisor(rng, 1, order, "float")
+                want = np.array(taylor_reciprocal(flt.coeffs, False))
+                assert flt.reciprocal().coeffs.tobytes() == want.tobytes()
+            exact = random_divisor(rng, 1, order, "fraction")
+            assert exact.reciprocal().coeffs == taylor_reciprocal(exact.coeffs, True)
 
 
 def full_table_compose_many(outers, inners):
@@ -625,6 +687,20 @@ class TestInversionWork:
         assert sum(calls) > 2 * new_madds
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_univariate_product_matches_convolution(data):
+    """A one-variable product against np.convolve, the product it replaced."""
+    order = data.draw(st.integers(0, 12), label="order")
+    coeff = st.floats(-2, 2, allow_nan=False)
+    a, b = (np.array(data.draw(st.lists(coeff, min_size=order + 1, max_size=order + 1),
+                               label=label)) for label in ("a", "b"))
+    got = (uni(a) * uni(b)).coeffs
+    want = np.convolve(a, b)[: order + 1]
+    scale = np.max(np.convolve(np.abs(a), np.abs(b)))
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
 def test_pair_count_is_the_product_table_length():
     for nvars in range(1, 5):
         for order in range(6):
@@ -635,9 +711,9 @@ class TestBasepoints:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_basepoint_rejected(self, bad):
         with pytest.raises(DomainError):
-            TaylorJet([1.0, 2.0], bad)
+            MultiJet(1, 1, [1.0, 2.0], (bad,))
         with pytest.raises(DomainError):
-            TaylorJet.variable(bad, 2)
+            MultiJet.variable(0, 1, 2, (bad,))
         with pytest.raises(DomainError):
             MultiJet.variable(0, 2, 2, (0.0, bad))
         with pytest.raises(DomainError):
@@ -645,7 +721,7 @@ class TestBasepoints:
         with pytest.raises(JetError):
             MultiJet(1, 1, [1.0, 0.0], (bad,))
         with pytest.raises(DomainError):
-            TaylorJet([Fraction(1)], bad, exact=True)
+            MultiJet(1, 0, [Fraction(1)], (bad,), exact=True)
 
     def test_equal_distinct_basepoints_still_checked(self):
         a = MultiJet.variable(0, 2, 2, (0.5, 1.0))
@@ -667,7 +743,6 @@ def test_arithmetic_results_keep_layout_and_basepoint(data):
     carries the left jet operand's basepoint object."""
     exact = data.draw(st.booleans(), label="exact")
     nvars = data.draw(st.integers(1, 3), label="nvars")
-    uni = nvars == 1 and data.draw(st.booleans(), label="taylor")
     ints = data.draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars),
                      label="base")
     base = tuple(Fraction(x) if exact else float(x) for x in ints)
@@ -675,14 +750,12 @@ def test_arithmetic_results_keep_layout_and_basepoint(data):
 
     def draw_jet(label):
         order = data.draw(st.integers(0, 4), label=f"{label}.order")
-        n = order + 1 if uni else _tables.count(nvars, order)
+        n = _tables.count(nvars, order)
         coeffs = data.draw(st.lists(coeff, min_size=n, max_size=n), label=f"{label}.coeffs")
         coeffs[0] = coeffs[0] + 3  # divisors keep a nonzero constant term
         # equal basepoint values, sometimes as distinct objects
         shared = data.draw(st.booleans(), label=f"{label}.shared")
         bp = base if shared else tuple(c + 0 for c in base)
-        if uni:
-            return TaylorJet(coeffs, bp[0], exact=exact)
         return MultiJet(nvars, order, coeffs, bp, exact=exact)
 
     acc = draw_jet("start")
@@ -697,10 +770,7 @@ def test_arithmetic_results_keep_layout_and_basepoint(data):
         left = other if flipped and isinstance(other, type(acc)) else acc
         want_order = min(acc.order, other.order) if isinstance(other, type(acc)) else acc.order
         assert res.order == want_order
-        if uni:
-            assert len(res.coeffs) == res.order + 1
-        else:
-            assert len(res.coeffs) == _tables.count(nvars, res.order)
+        assert len(res.coeffs) == _tables.count(nvars, res.order)
         assert res.basepoint is left.basepoint
         assert res.exact == exact
         assert isinstance(res.coeffs, list) if exact else res.coeffs.dtype == np.float64
