@@ -18,9 +18,6 @@ import sys
 
 import numpy as np
 
-from . import contact as contact_mod
-from . import extended as ext_mod
-from . import functions as fn_mod
 from . import signature as sig_mod
 from .errors import (AllSamplesDegenerate, GeometryError, IncomparableClouds,
                      JetError, JobError)
@@ -205,33 +202,17 @@ def _check_invariance_suite(args):
 
 
 def _syzygy_report(seed, jets):
+    """(label, worst residual, tolerance) of each recipe with relations."""
     rng = np.random.default_rng(seed)
     report = []
-
-    def run(name, chart_name, n, order, fn, tol):
-        worst = 0.0
-        used = 0
-        chart = CHARTS[chart_name](n)
-        while used < jets:
-            point = JetPoint.random(chart, order, rng, spread=(0.6, 1.5))
-            try:
-                res = fn(point)
-            except (GeometryError, JetError, ZeroDivisionError):
-                continue
-            worst = float(np.max([worst, *res.values()]))  # keeps a NaN
-            used += 1
-        report.append((name, worst, tol))
-
-    run("plane functions R1-R3", "function", 1, 4,
-        fn_mod.syzygy_residuals_n1, 1e-7)
-    run("conformal functions R1-R4", "function", 1, 5,
-        ext_mod.csp_function_syzygies, 1e-7)
-    run("affine functions R1-R3", "function", 1, 5,
-        ext_mod.asp_function_syzygies, 1e-7)
-    run("contact surfaces R1-R2", "contact-surface", 1, 4,
-        contact_mod.surface_syzygy_residuals, 1e-7)
-    run("contact functions R1-R7", "contact-function", 1, 4,
-        contact_mod.function_syzygy_residuals, 1e-7)
+    for (geometry, flavor), recipe in sig_mod.RECIPES.items():
+        if recipe.syzygies is None:
+            continue
+        results, _ = sig_mod.syzygy_sweep(geometry, flavor, jets, rng, spread=(0.6, 1.5))
+        names = list(results[0]) if results else []  # none when --jets < 1
+        label = f"{geometry}/{flavor} n=1" + (f" {names[0]}-{names[-1]}" if names else "")
+        worst = float(np.max([0.0, *(r for res in results for r in res.values())]))  # keeps a NaN
+        report.append((label, worst, 1e-7))
     return report
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import DegenerateJet, OnZeroLevelSet
 from .geometry import Derivation
-from .jetlinalg import is_negligible, magnitude
+from .jetlinalg import is_negligible
 
 
 # ---------------------------------------------------------------------------
@@ -104,71 +104,39 @@ def surface_invariants(point):
     return scaled, ders
 
 
-def surface_reduction_residuals(point):
-    """Residuals of the two reduction identities for I2ap and I2bp."""
+def surface_reductions(point):
+    """The reduction identities of I2ap and I2bp through I1p, each a list of
+    terms that sums to zero identically.  They need order 3 only."""
     scaled, ders = surface_invariants(point)
     d1, d2 = ders["d1"], ders["d2"]
     i1p = scaled["I1p"]
-    t_a = [d1(i1p), 2 * i1p * i1p, -i1p, -scaled["I2ap"]]
-    tot_a = t_a[0] + t_a[1] + t_a[2] + t_a[3]
-    res_a = magnitude(tot_a) / max(max(magnitude(t) for t in t_a), 1e-30)
-    t_b = [d1(i1p) * (-0.5), d2(i1p) * (-0.5), -i1p * i1p, i1p, -scaled["I2bp"]]
-    tot_b = t_b[0] + t_b[1] + t_b[2] + t_b[3] + t_b[4]
-    res_b = magnitude(tot_b) / max(max(magnitude(t) for t in t_b), 1e-30)
-    return {"I2ap": res_a, "I2bp": res_b}
+    return {
+        "I2ap": [d1(i1p), 2 * i1p * i1p, -i1p, -scaled["I2ap"]],
+        "I2bp": [-d1(i1p) / 2, -d2(i1p) / 2, -i1p * i1p, i1p, -scaled["I2bp"]],
+    }
 
 
-def surface_syzygy_residuals(point):
-    """R1 (commutator) and R2 (second-order relation) residuals."""
+def surface_relations(point):
+    """The reductions, R1 (commutator) and R2 (second-order relation), each a
+    list of terms that sums to zero identically."""
     scaled, ders = surface_invariants(point)
     d1, d2 = ders["d1"], ders["d2"]
     i1p, i2cp = scaled["I1p"], scaled["I2cp"]
-
-    comm = d1.commutator(d2)
-    corr = d1.scale(d2(i1p) / i1p) - d2.scale(d1(i1p) / i1p + 2 * (i1p - 1))
-    lhs = comm + corr
-    scale = max(max(magnitude(c) for c in comm.coeffs),
-                max(magnitude(c) for c in corr.coeffs), 1e-30)
-    r1 = max(magnitude(c) for c in lhs.coeffs) / scale
-
     a = d1(i1p)
     b = d2(i1p)
-    terms = [
-        d1(d1(i1p)),
-        2 * d1(d2(i1p)),
-        d2(d2(i1p)),
-        -4 * d1(i2cp),
-        -(a * a + 2 * a * b - 4 * a * i2cp + b * b) * 3 / i1p,
-        -2 * (i1p - 1) * (3 * a + 4 * b - 8 * i2cp),
-        -4 * i1p * (i1p - 1) * (2 * i1p - 1),
-    ]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    r2 = magnitude(total) / max(max(magnitude(t) for t in terms), 1e-30)
-    return {"R1": r1, "R2": r2}
-
-
-def surface_exact_syzygies(point):
-    """Exact-mode values of the reduction and syzygy combinations."""
-    scaled, ders = surface_invariants(point)
-    d1, d2 = ders["d1"], ders["d2"]
-    i1p, i2cp = scaled["I1p"], scaled["I2cp"]
-    out = []
-    out.append((d1(i1p) + 2 * i1p * i1p - i1p - scaled["I2ap"]).value())
-    red_b = (d1(i1p) + d2(i1p)) * (-1) - 2 * i1p * i1p + 2 * i1p - 2 * scaled["I2bp"]
-    out.append((red_b / 2).value())
-    comm = d1.commutator(d2)
-    corr = d1.scale(d2(i1p)) - d2.scale(d1(i1p) + 2 * (i1p - 1) * i1p)
-    for c_comm, c_corr in zip(comm.coeffs, corr.coeffs):
-        out.append((c_comm * i1p + c_corr).value())
-    a = d1(i1p)
-    b = d2(i1p)
-    r2 = (d1(d1(i1p)) + 2 * d1(d2(i1p)) + d2(d2(i1p)) - 4 * d1(i2cp)) * i1p \
-        - 3 * (a * a + 2 * a * b - 4 * a * i2cp + b * b) \
-        - (2 * (i1p - 1) * (3 * a + 4 * b - 8 * i2cp) + 4 * i1p * (i1p - 1) * (2 * i1p - 1)) * i1p
-    out.append(r2.value())
-    return out
+    return {
+        **surface_reductions(point),
+        "R1": [d1.commutator(d2), d1.scale(b / i1p) - d2.scale(a / i1p + 2 * (i1p - 1))],
+        "R2": [
+            d1(a),
+            2 * d1(b),
+            d2(b),
+            -4 * d1(i2cp),
+            -(a * a + 2 * a * b - 4 * a * i2cp + b * b) * 3 / i1p,
+            -2 * (i1p - 1) * (3 * a + 4 * b - 8 * i2cp),
+            -4 * i1p * (i1p - 1) * (2 * i1p - 1),
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -269,53 +237,25 @@ def _i2f_table(x, y, z, firsts, seconds):
     )
 
 
-def function_syzygy_residuals(point):
-    """Normalized residuals of the seven relations tying the generators.
+def function_relations(point):
+    """The seven relations tying the generators, each a list of terms that sums
+    to zero identically.
 
-    R3..R7 carry the prefactor I1b (recovered by exact-rational solving; see
-    the commutator expansions in _syzygy_combinations).
+    R3..R7 carry the prefactor I1b (recovered by exact-rational solving of the
+    commutator expansions).
     """
     inv = function_invariants(point)
     ders = function_derivations(point)
     d1, d2, d3 = ders["d1"], ders["d2"], ders["d3"]
-    i1b = inv["I1b"]
-    if is_negligible(inv["I1a"] + i1b) or is_negligible(i1b):
-        raise DegenerateJet("first-order normalizers vanish; syzygy check fails")
-    out = {}
-
-    out["R1"] = magnitude(d3(inv["I0"])) / max(magnitude(d1(inv["I0"])),
-                                               magnitude(d2(inv["I0"])), 1e-30)
-
-    def derivation_residual(terms):
-        total = None
-        scale = 1e-30
-        for der in terms:
-            total = der if total is None else total + der
-            scale = max(scale, max(magnitude(c) for c in der.coeffs))
-        return max(magnitude(c) for c in total.coeffs) / scale
-
-    def scalar_residual(terms):
-        total = None
-        for t in terms:
-            total = t if total is None else total + t
-        return magnitude(total) / max(max(magnitude(t) for t in terms), 1e-30)
-
-    out["R2"] = derivation_residual([d1.commutator(d2)])
-    derivation_rels, scalar_rels = _syzygy_combinations(inv, ders)
-    for name, terms in derivation_rels.items():
-        out[name] = derivation_residual(terms)
-    for name, terms in scalar_rels.items():
-        out[name] = scalar_residual(terms)
-    return out
-
-
-def _syzygy_combinations(inv, ders):
-    """The R3..R7 combinations; each listed group sums to zero identically."""
-    d1, d2, d3 = ders["d1"], ders["d2"], ders["d3"]
     i1a, i1b = inv["I1a"], inv["I1b"]
+    if is_negligible(i1a + i1b) or is_negligible(i1b):
+        raise DegenerateJet("first-order normalizers vanish; syzygy check fails")
     i2a, i2b, i2c = inv["I2a"], inv["I2b"], inv["I2c"]
     i2d, i2e, i2f = inv["I2d"], inv["I2e"], inv["I2f"]
-    derivation_rels = {
+    return {
+        "R1": d3.summands(inv["I0"]),
+        "R2": [Derivation(tuple(d1(b) for b in d2.coeffs)),
+               Derivation(tuple(-d2(a) for a in d1.coeffs))],
         "R3": [
             d1.commutator(d3).scale(i1b),
             (d1 + d2).scale(i2c),
@@ -327,8 +267,6 @@ def _syzygy_combinations(inv, ders):
             d2.scale(-(i1a * i1b - i1b * i1b - i2e)),
             d3.scale(-(i2b + i2d - 2 * i1b)),
         ],
-    }
-    scalar_rels = {
         "R5": [
             i1b * (d3(i2b) - d1(i2e)),
             -(i2c - i2e) * i2b,
@@ -354,25 +292,3 @@ def _syzygy_combinations(inv, ders):
             3 * i2e * i2e,
         ],
     }
-    return derivation_rels, scalar_rels
-
-
-def function_exact_syzygies(point):
-    """Exact-mode syzygy values (all must vanish on rational polynomial jets)."""
-    inv = function_invariants(point)
-    ders = function_derivations(point)
-    vals = [ders["d3"](inv["I0"]).value()]
-    for c in ders["d1"].commutator(ders["d2"]).coeffs:
-        vals.append(c.value())
-    derivation_rels, scalar_rels = _syzygy_combinations(inv, ders)
-    for terms in derivation_rels.values():
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        vals.extend(c.value() for c in total.coeffs)
-    for terms in scalar_rels.values():
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        vals.append(total.value() if hasattr(total, "value") else total)
-    return vals

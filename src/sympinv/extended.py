@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import functions as fn
 from .errors import WeightNormalizationSingular
 from .geometry import Derivation
-from .jetlinalg import is_negligible, magnitude
+from .jetlinalg import is_negligible
 
 
 def _require_n1(point):
@@ -45,35 +45,28 @@ def csp_function_invariants(point):
     return gens, ders
 
 
-def csp_function_syzygies(point):
-    """Normalized residuals of the four conformal-plane relations."""
+def csp_function_relations(point):
+    """The four conformal-plane relations, each a list of terms that sums to
+    zero identically."""
     gens, ders = csp_function_invariants(point)
     d1, d2p = ders["d1"], ders["d2p"]
     i0, i1, i2a, i2bp = gens["I0"], gens["I1"], gens["I2a"], gens["I2bp"]
-
-    r1 = magnitude(d2p(i0)) / max(magnitude(i1), 1e-30)
-    r2 = magnitude(d2p(i1) + 1)
-
-    comm = d1.commutator(d2p)
-    target = d1.scale(1 / i1) + d2p.scale(i2a / i1 + d2p(i2a))
-    scale = max(max(magnitude(c) for c in comm.coeffs),
-                max(magnitude(c) for c in target.coeffs), 1e-30)
-    r3 = max(magnitude(a - b) for a, b in zip(comm.coeffs, target.coeffs)) / scale
-
     i3a = d1(i2a)
     i3b = d2p(i2a)
     i3c = d1(i2bp)
-    terms = [
-        d2p(i3a),
-        d2p(i3b) / (2 * i2bp),
-        -d1(i3c) / (2 * i2bp),
-        -((i2bp * i3b - 3 * i3b * i3c - i3c) * i1 * i1
-          + (((3 * i3b + 4) * i2a - 5 * i3a) * i2bp - 4 * i2a * i3c - 4 * i3b - 4) * i1
-          + 6 * i2a * i2a * i2bp - 6 * i2a) / (2 * i1 * i1 * i2bp),
-    ]
-    total = terms[0] + terms[1] + terms[2] + terms[3]
-    r4 = magnitude(total) / max(max(magnitude(t) for t in terms), 1e-30)
-    return {"R1": r1, "R2": r2, "R3": r3, "R4": r4}
+    return {
+        "R1": d2p.summands(i0),
+        "R2": [d2p(i1), 1],
+        "R3": [d1.commutator(d2p), d1.scale(-1 / i1) - d2p.scale(i2a / i1 + i3b)],
+        "R4": [
+            d2p(i3a),
+            d2p(i3b) / (2 * i2bp),
+            -d1(i3c) / (2 * i2bp),
+            -((i2bp * i3b - 3 * i3b * i3c - i3c) * i1 * i1
+              + (((3 * i3b + 4) * i2a - 5 * i3a) * i2bp - 4 * i2a * i3c - 4 * i3b - 4) * i1
+              + 6 * i2a * i2a * i2bp - 6 * i2a) / (2 * i1 * i1 * i2bp),
+        ],
+    }
 
 
 # --- affine group: functions ----------------------------------------------------
@@ -96,77 +89,34 @@ def asp_function_invariants(point):
     return gens, ders
 
 
-def asp_function_syzygies(point):
+def asp_function_relations(point):
+    """The three affine-plane relations, each a list of terms that sums to zero
+    identically."""
     gens, ders = asp_function_invariants(point)
     d1p, d2 = ders["d1p"], ders["d2"]
     i0, i2p, i2c = gens["I0"], gens["I2p"], gens["I2c"]
     _nonzero(i2c, "I2c")
-
-    comm = d1p.commutator(d2)
-    target = d1p.scale(-d2(i2c) / i2c) + d2.scale(d1p(i2c) / i2c - 2 * i2p)
-    scale = max(max(magnitude(c) for c in comm.coeffs),
-                max(magnitude(c) for c in target.coeffs), 1e-30)
-    r1 = max(magnitude(a - b) for a, b in zip(comm.coeffs, target.coeffs)) / scale
-
-    r2 = magnitude(d2(i0)) / max(magnitude(d1p(i0)), 1e-30)
-
     i3a = d1p(i2p)
     i3b = d2(i2p)
     i3c = d1p(i2c)
     i3d = d2(i2c)
-    terms = [
-        -i2c * d2(i3b),
-        d1p(i3c),
-        i2p * d2(i3d),
-        -(12 * i2p * i2p * i2c * i2c - 10 * i2p * i2c * i3c + 3 * i2p * i3d * i3d
-          + 3 * i2c * i2c * i3a - 3 * i2c * i3b * i3d + 3 * i3c * i3c) / i2c,
-    ]
-    total = terms[0] + terms[1] + terms[2] + terms[3]
-    r3 = magnitude(total) / max(max(magnitude(t) for t in terms), 1e-30)
-    return {"R1": r1, "R2": r2, "R3": r3}
+    return {
+        "R1": [d1p.commutator(d2), d1p.scale(i3d / i2c) + d2.scale(2 * i2p - i3c / i2c)],
+        "R2": d2.summands(i0),
+        "R3": [
+            -i2c * d2(i3b),
+            d1p(i3c),
+            i2p * d2(i3d),
+            -(12 * i2p * i2p * i2c * i2c - 10 * i2p * i2c * i3c + 3 * i2p * i3d * i3d
+              + 3 * i2c * i2c * i3a - 3 * i2c * i3b * i3d + 3 * i3c * i3c) / i2c,
+        ],
+    }
 
 
 def asp_reduction_defect(point):
     """Value of d1p(I0) - I2c (an exact reduction of one generator)."""
     gens, ders = asp_function_invariants(point)
     return ders["d1p"](gens["I0"]) - gens["I2c"]
-
-
-def csp_function_exact_syzygies(point):
-    """Exact-mode values of the four conformal relations (must all vanish)."""
-    gens, ders = csp_function_invariants(point)
-    d1, d2p = ders["d1"], ders["d2p"]
-    i0, i1, i2a, i2bp = gens["I0"], gens["I1"], gens["I2a"], gens["I2bp"]
-    vals = [d2p(i0).value(), (d2p(i1) + 1).value()]
-    comm = d1.commutator(d2p)
-    target = d1.scale(1 / i1) + d2p.scale(i2a / i1 + d2p(i2a))
-    vals.extend((a - b).value() for a, b in zip(comm.coeffs, target.coeffs))
-    i3a, i3b, i3c = d1(i2a), d2p(i2a), d1(i2bp)
-    r4 = (d2p(i3a) + d2p(i3b) / (2 * i2bp) - d1(i3c) / (2 * i2bp)
-          - ((i2bp * i3b - 3 * i3b * i3c - i3c) * i1 * i1
-             + (((3 * i3b + 4) * i2a - 5 * i3a) * i2bp
-                - 4 * i2a * i3c - 4 * i3b - 4) * i1
-             + 6 * i2a * i2a * i2bp - 6 * i2a) / (2 * i1 * i1 * i2bp))
-    vals.append(r4.value())
-    return vals
-
-
-def asp_function_exact_syzygies(point):
-    """Exact-mode values of the three affine relations (must all vanish)."""
-    gens, ders = asp_function_invariants(point)
-    d1p, d2 = ders["d1p"], ders["d2"]
-    i0, i2p, i2c = gens["I0"], gens["I2p"], gens["I2c"]
-    comm = d1p.commutator(d2)
-    target = d1p.scale(-d2(i2c) / i2c) + d2.scale(d1p(i2c) / i2c - 2 * i2p)
-    vals = [(a - b).value() for a, b in zip(comm.coeffs, target.coeffs)]
-    vals.append(d2(i0).value())
-    i3a, i3b = d1p(i2p), d2(i2p)
-    i3c, i3d = d1p(i2c), d2(i2c)
-    r3 = (-i2c * d2(i3b) + d1p(i3c) + i2p * d2(i3d)
-          - (12 * i2p * i2p * i2c * i2c - 10 * i2p * i2c * i3c + 3 * i2p * i3d * i3d
-             + 3 * i2c * i2c * i3a - 3 * i2c * i3b * i3d + 3 * i3c * i3c) / i2c)
-    vals.append(r3.value())
-    return vals
 
 
 # --- affine-conformal group: functions -------------------------------------------

@@ -37,17 +37,6 @@ def base_invariant(point):
     return point.jets["u"]
 
 
-def radial_value(point):
-    """I1 = sum x_i u_{x_i} + y_i u_{y_i} (contraction of du with the radial field)."""
-    coords = _coordinate_jets(point)
-    du = _u_partials(point)
-    acc = None
-    for c, d in zip(coords, du):
-        term = c * d
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def radial_derivation(point):
     """nabla_1: derivative along the radial field."""
     return Derivation(tuple(_coordinate_jets(point)))
@@ -143,49 +132,20 @@ def derivations_n1(point):
     return {"d1": radial_derivation(point), "d2": gradient_derivation(point)}
 
 
-def syzygy_residuals_n1(point):
-    """Normalized residuals of the three relations tying the n=1 generators."""
-    inv = invariants_n1(point)
-    d = derivations_n1(point)
-    d1, d2 = d["d1"], d["d2"]
-    i0, i1 = inv["I0"], inv["I1"]
-    i2a, i2b, i2c = inv["I2a"], inv["I2b"], inv["I2c"]
-
-    r1 = d2(i0).value()
-    r1_scale = max(magnitude(t) for t in (d2.coeffs[0] * i0.partial(0),
-                                          d2.coeffs[1] * i0.partial(1)))
-
-    comm = d1.commutator(d2)
-    target = d1.scale(i2b / i1) + d2.scale((i2a - i1) / i1)
-    r2 = max(magnitude(a - b) for a, b in zip(comm.coeffs, target.coeffs))
-    r2_scale = max(max(magnitude(c) for c in comm.coeffs),
-                   max(magnitude(c) for c in target.coeffs), 1e-30)
-
-    terms = [d2(i2b) * i1, d1(i2c) * i1, -(3 * i2a - i1) * i2c, 3 * i2b * i2b]
-    total = terms[0] + terms[1] + terms[2] + terms[3]
-    r3 = magnitude(total)
-    r3_scale = max(max(magnitude(t) for t in terms), 1e-30)
-
-    return {
-        "R1": abs(r1) / max(r1_scale, 1e-30),
-        "R2": r2 / r2_scale,
-        "R3": r3 / r3_scale,
-    }
-
-
-def exact_syzygies_n1(point):
-    """Exact-mode syzygy values (must be exactly zero on rational jets)."""
+def relations_n1(point):
+    """The three relations tying the n=1 generators, each a list of terms that
+    sums to zero identically: d2(I0) = 0, the commutator [d1, d2] and the
+    second-order relation R3."""
     inv = invariants_n1(point)
     d = derivations_n1(point)
     d1, d2 = d["d1"], d["d2"]
     i1 = inv["I1"]
     i2a, i2b, i2c = inv["I2a"], inv["I2b"], inv["I2c"]
-    r1 = d2(inv["I0"]).value()
-    comm = d1.commutator(d2)
-    target = d1.scale(i2b) + d2.scale(i2a - i1)
-    r2 = [(c * i1 - t).value() for c, t in zip(comm.coeffs, target.coeffs)]
-    r3 = ((d2(i2b) + d1(i2c)) * i1 - (3 * i2a - i1) * i2c + 3 * i2b * i2b).value()
-    return [r1] + r2 + [r3]
+    return {
+        "R1": d2.summands(inv["I0"]),
+        "R2": [d1.commutator(d2), d1.scale(-i2b / i1) + d2.scale((i1 - i2a) / i1)],
+        "R3": [d2(i2b) * i1, d1(i2c) * i1, -(3 * i2a - i1) * i2c, 3 * i2b * i2b],
+    }
 
 
 # --- general n ----------------------------------------------------------------

@@ -296,6 +296,40 @@ class Derivation:
         """Coefficient values at the basepoint."""
         return [a.value() for a in self.coeffs]
 
+    def summands(self, f):
+        """The terms a_i D_i f whose sum is self(f): a relation self(f) = 0
+        stated term by term."""
+        return [a * f.partial(i) for i, a in enumerate(self.coeffs)]
+
+
+# --- relations ------------------------------------------------------------------
+# A relation is a list of terms that sums to zero identically.  A term is a
+# scalar jet or a plain number, or, in a relation between derivations, a
+# `Derivation`, whose sum is taken coefficient by coefficient.
+
+def _term_values(term):
+    coeffs = term.coeffs if isinstance(term, Derivation) else (term,)
+    return [c.value() if hasattr(c, "value") else c for c in coeffs]
+
+
+def _sums(rows):
+    return [sum(col[1:], col[0]) for col in zip(*rows)]
+
+
+def relation_values(terms):
+    """Values at the basepoint of the sum of a relation's terms, one per
+    coefficient of a derivation relation: exactly zero in exact mode."""
+    return _sums([_term_values(t) for t in terms])
+
+
+def relation_residual(terms):
+    """Float residual of a relation: the largest |sum| over its coefficients,
+    over the largest |coefficient| of any term.  A NaN anywhere gives NaN."""
+    rows = [_term_values(t) for t in terms]
+    total = np.max(np.abs(np.array(_sums(rows), dtype=float)))
+    scale = np.max(np.abs(np.array(rows, dtype=float)))
+    return float(total / np.maximum(scale, 1e-30))
+
 
 def apply_word(derivations, word, f):
     """Apply a composition of derivations (rightmost acts first)."""

@@ -24,7 +24,8 @@ from . import hypersurfaces as hyp_mod
 from . import surfaces as srf_mod
 from .errors import AllSamplesDegenerate, GeometryError, IncomparableClouds, JetError, NonFinite
 from .exprs import evaluate
-from .geometry import CHARTS, JetPoint, apply_word, default_order, parametric_curve_point
+from .geometry import (CHARTS, JetPoint, apply_word, default_order, parametric_curve_point,
+                       relation_residual, relation_values)
 from .jets import MultiJet
 
 
@@ -52,6 +53,10 @@ class Recipe:
     # frame functions up when called, and its dict may hold more generators
     evaluate: object
     checked: tuple  # the n of this recipe in the invariance battery
+    # None, or (jet order, point -> {name: list of terms summing to zero}) of
+    # the relations checked at n = 1 by `check syzygy` and the acceptance gate;
+    # like `evaluate`, it looks its relation function up when called
+    syzygies: object = None
 
 
 def _fixed(value):
@@ -107,13 +112,16 @@ def _contact_curve_csp(p, n):
 # One recipe per (geometry, flavor), in the order of the invariance battery.
 # Adding a flavor means one entry here plus its frame functions.
 RECIPES = {
-    ("function", "sp"): Recipe(None, _function_sp_labels, _fixed(2), _function_sp, (1, 2)),
+    ("function", "sp"): Recipe(None, _function_sp_labels, _fixed(2), _function_sp, (1, 2),
+                               (4, lambda p: fn_mod.relations_n1(p))),
     ("function", "csp"): Recipe(
         1, _fixed(("I0", "I2bp")), _fixed(2),
-        lambda p, n: _picked(ext_mod.csp_function_invariants(p), "d1", "d2p"), (1,)),
+        lambda p, n: _picked(ext_mod.csp_function_invariants(p), "d1", "d2p"), (1,),
+        (5, lambda p: ext_mod.csp_function_relations(p))),
     ("function", "asp"): Recipe(
         1, _fixed(("I0", "I2p")), _fixed(2),
-        lambda p, n: _picked(ext_mod.asp_function_invariants(p), "d1p", "d2"), (1,)),
+        lambda p, n: _picked(ext_mod.asp_function_invariants(p), "d1p", "d2"), (1,),
+        (5, lambda p: ext_mod.asp_function_relations(p))),
     ("function", "acsp"): Recipe(
         1, _fixed(("I0", "I3app", "I3bpp")), _fixed(2),
         lambda p, n: _picked(ext_mod.acsp_function_invariants(p), "d1pp", "d2pp"), (1,)),
@@ -138,11 +146,13 @@ RECIPES = {
         1, _fixed(("I1", "I2ap")), _fixed(1), _contact_curve_csp, (1,)),
     ("contact-surface", "contact-csp"): Recipe(
         1, _fixed(("I1p", "I2cp")), _fixed(2),
-        lambda p, n: _picked(contact_mod.surface_invariants(p), "d1", "d2"), (1,)),
+        lambda p, n: _picked(contact_mod.surface_invariants(p), "d1", "d2"), (1,),
+        (4, lambda p: contact_mod.surface_relations(p))),
     ("contact-function", "contact-csp"): Recipe(
         1, _fixed(("I0", "I2f")), _fixed(3),
         lambda p, n: _picked((contact_mod.function_invariants(p),
-                              contact_mod.function_derivations(p)), "d1", "d2", "d3"), (1,)),
+                              contact_mod.function_derivations(p)), "d1", "d2", "d3"), (1,),
+        (4, lambda p: contact_mod.function_relations(p))),
 }
 
 
@@ -157,6 +167,28 @@ def recipe_for(geometry, flavor):
 def invariance_targets():
     """(geometry, flavor, n) of the invariance battery, in its order."""
     return [(g, f, n) for (g, f), recipe in RECIPES.items() for n in recipe.checked]
+
+
+def syzygy_sweep(geometry, flavor, count, rng, exact=False, spread=(0.5, 2.0)):
+    """Check one recipe's relations on `count` random jets at its syzygy order.
+
+    Returns one {relation name: result} per jet, the result being the float
+    residual (`relation_residual`), or when exact the values of the sum
+    (`relation_values`), and the number of draws skipped on degenerate loci.
+    """
+    order, relations = recipe_for(geometry, flavor).syzygies
+    chart = CHARTS[geometry](1)
+    check = relation_values if exact else relation_residual
+    results, skipped = [], 0
+    while len(results) < count:
+        point = JetPoint.random(chart, order, rng, exact=exact, spread=spread)
+        try:
+            rels = relations(point)
+        except (GeometryError, JetError, ZeroDivisionError):
+            skipped += 1
+            continue
+        results.append({name: check(terms) for name, terms in rels.items()})
+    return results, skipped
 
 
 def generator_map(geometry, flavor, n):
@@ -223,21 +255,23 @@ def sample_psi(defs, geometry, flavor, n, samples, depth, window, seed, order=No
     rng = np.random.default_rng(seed)
     lo, hi = window
     rows = []
-    for _ in range(samples):
-        at = tuple(rng.uniform(lo, hi) for _ in range(chart.n_independent))
-        try:
-            if parametric:
-                point = parametric_curve_point(
-                    chart, [_parameter_jet(ast, at[0], order) for ast in defs], order)
+    # an overflowing jet makes its sample NonFinite, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(samples):
+            at = tuple(rng.uniform(lo, hi) for _ in range(chart.n_independent))
+            try:
+                if parametric:
+                    point = parametric_curve_point(
+                        chart, [_parameter_jet(ast, at[0], order) for ast in defs], order)
+                else:
+                    point = JetPoint.from_exprs(chart, defs, at, order)
+                values = psi_values(point, geometry, flavor, n, depth)
+                if not all(math.isfinite(v) for v in values):
+                    raise NonFinite("a signature component is not finite")
+            except (GeometryError, JetError, ZeroDivisionError) as err:
+                rows.append((at, None, type(err).__name__))
             else:
-                point = JetPoint.from_exprs(chart, defs, at, order)
-            values = psi_values(point, geometry, flavor, n, depth)
-            if not all(math.isfinite(v) for v in values):
-                raise NonFinite("a signature component is not finite")
-        except (GeometryError, JetError, ZeroDivisionError) as err:
-            rows.append((at, None, type(err).__name__))
-        else:
-            rows.append((at, values, ""))
+                rows.append((at, values, ""))
     return rows
 
 

@@ -216,17 +216,3 @@ def frame_constraint_values(point):
 def _value(x):
     v = x.value() if hasattr(x, "value") else x
     return float(getattr(v, "re", v))
-
-
-def third_order_closure_rank(point, rank_fn, fiber):
-    """Jacobian rank of the eight derived invariants over the given fiber."""
-
-    def evaluate(q):
-        inv, ders, _ = invariants(q)
-        out = []
-        for d in ders:
-            for key in ("I2a", "I2b", "I2c", "I2d"):
-                out.append(d(inv[key]))
-        return out
-
-    return rank_fn(point, evaluate, fiber)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sympinv.geometry import pushforward
+from sympinv.geometry import pushforward, relation_residual
 from sympinv.symplectic import random_contact_lift, random_group_element
 
 
@@ -28,6 +28,11 @@ def val(x):
     """Constant term of a jet, or the scalar itself."""
     v = x.value() if hasattr(x, "value") else x
     return float(getattr(v, "re", v))
+
+
+def residuals(relations):
+    """Float residual of each relation in a {name: terms} dict."""
+    return {name: relation_residual(terms) for name, terms in relations.items()}
 
 
 def relerr(a, b):

@@ -24,10 +24,11 @@ from sympinv import hypersurfaces as hyp_mod
 from sympinv.cli import main as cli_main
 from sympinv.errors import GeometryError, JetError
 from sympinv.exprs import BinOp, ExprAst, Neg, Num, Pow, Var, evaluate, parse
-from sympinv.geometry import CHARTS, JetPoint, curve_chart, function_chart, pushforward
+from sympinv.geometry import (CHARTS, JetPoint, curve_chart, function_chart, pushforward,
+                              relation_residual)
 from sympinv.jets import MultiJet, compose_many, invert_series
 from sympinv.prolong import jet_space_dimension, orbit_dimension
-from sympinv.signature import generator_map, _as_float
+from sympinv.signature import RECIPES, generator_map, syzygy_sweep, _as_float
 from sympinv.symplectic import random_contact_lift, random_group_element
 
 
@@ -192,56 +193,53 @@ def test_criterion_2_invariance_battery():
 # 3. syzygy battery
 # -----------------------------------------------------------------------------
 
-def test_criterion_3_syzygy_battery():
+def worst_finite(residuals):
+    """(largest finite residual, number of non-finite ones): max() alone would
+    pass over a NaN silently."""
+    finite = [r for r in residuals if math.isfinite(r)]
+    return max(finite, default=0.0), len(residuals) - len(finite)
+
+
+def syzygy_battery():
+    """Every recipe's relations, in registry order: float residuals on 8 jets
+    each, then exact sums on 3 rational jets each, from one seeded stream.
+    Returns (float residuals, exact values, draws skipped on degenerate loci)."""
     rng = np.random.default_rng(99)
-    worst = 0.0
+    families = [key for key, recipe in RECIPES.items() if recipe.syzygies is not None]
+    residuals, values, skipped = [], [], 0
+    for key in families:
+        results, skips = syzygy_sweep(*key, 8, rng, spread=(0.6, 1.4))
+        residuals += [r for res in results for r in res.values()]
+        skipped += skips
+    for key in families:
+        results, skips = syzygy_sweep(*key, 3, rng, exact=True)
+        values += [v for res in results for vals in res.values() for v in vals]
+        skipped += skips
+    return residuals, values, skipped
 
-    def sweep(chart_name, n, order, fn, count=8):
-        nonlocal worst
-        chart = CHARTS[chart_name](n)
-        done = 0
-        while done < count:
-            point = JetPoint.random(chart, order, rng, spread=(0.6, 1.4))
-            try:
-                res = fn(point)
-            except (GeometryError, JetError, ZeroDivisionError):
-                continue
-            worst = max(worst, max(res.values()))
-            done += 1
 
-    sweep("function", 1, 4, fn_mod.syzygy_residuals_n1)
-    sweep("function", 1, 5, ext_mod.csp_function_syzygies)
-    sweep("function", 1, 5, ext_mod.asp_function_syzygies)
-    sweep("contact-surface", 1, 4, contact_mod.surface_syzygy_residuals)
-    sweep("contact-function", 1, 4, contact_mod.function_syzygy_residuals)
-
-    exact_ok = True
-
-    def sweep_exact(chart_name, n, order, fn, count=3):
-        nonlocal exact_ok
-        chart = CHARTS[chart_name](n)
-        done = 0
-        while done < count:
-            point = JetPoint.random(chart, order, rng, exact=True)
-            try:
-                vals = fn(point)
-            except (GeometryError, JetError, ZeroDivisionError):
-                continue
-            for v in vals:
-                v = getattr(v, "re", v)
-                if v != 0:
-                    exact_ok = False
-            done += 1
-
-    sweep_exact("function", 1, 4, fn_mod.exact_syzygies_n1)
-    sweep_exact("function", 1, 5, ext_mod.csp_function_exact_syzygies)
-    sweep_exact("function", 1, 5, ext_mod.asp_function_exact_syzygies)
-    sweep_exact("contact-surface", 1, 4, contact_mod.surface_exact_syzygies)
-    sweep_exact("contact-function", 1, 4, contact_mod.function_exact_syzygies)
-
-    ok = worst <= 1e-7 and exact_ok
-    report(3, ok, f"all displayed syzygies: max normalized residual {worst:.2e} <= 1e-7; "
+def test_criterion_3_syzygy_battery():
+    residuals, values, skipped = syzygy_battery()
+    worst, nonfinite = worst_finite(residuals)
+    exact_ok = all(v == 0 for v in values)
+    ok = nonfinite == 0 and worst <= 1e-7 and exact_ok
+    report(3, ok, f"all displayed syzygies: max normalized residual {worst:.2e} <= 1e-7 "
+                  f"({len(residuals)} residuals, {nonfinite} non-finite, "
+                  f"{skipped} degenerate draws skipped); "
                   f"exact-rational mode {'identically zero' if exact_ok else 'NONZERO'}")
+
+
+def test_criterion_3_fails_on_a_nan_term(monkeypatch):
+    relations = ext_mod.csp_function_relations
+
+    def with_nan(point):
+        rels = relations(point)
+        return {**rels, "R2": [*rels["R2"], float("nan")]}
+
+    monkeypatch.setattr(ext_mod, "csp_function_relations", with_nan)
+    residuals, values, _ = syzygy_battery()
+    assert worst_finite(residuals)[1] == 8
+    assert not all(v == 0 for v in values)
 
 
 # -----------------------------------------------------------------------------
@@ -250,16 +248,16 @@ def test_criterion_3_syzygy_battery():
 
 def test_criterion_4_reduction_identities():
     rng = np.random.default_rng(4)
-    worst = 0.0
+    residuals = []
 
     for _ in range(6):
         p = JetPoint.random(function_chart(1), 4, rng)
         inv = fn_mod.invariants_n1(p)
         d1 = fn_mod.radial_derivation(p)
         d2 = fn_mod.gradient_derivation(p)
-        worst = max(worst, relerr(val(d1(inv["I0"])), val(inv["I1"])))
-        worst = max(worst, relerr(val(d1(d1(inv["I0"])) - d1(inv["I0"])), val(inv["I2a"])))
-        worst = max(worst, relerr(val(-d2(d1(inv["I0"]))), val(inv["I2b"])))
+        residuals.append(relerr(val(d1(inv["I0"])), val(inv["I1"])))
+        residuals.append(relerr(val(d1(d1(inv["I0"])) - d1(inv["I0"])), val(inv["I2a"])))
+        residuals.append(relerr(val(-d2(d1(inv["I0"]))), val(inv["I2b"])))
 
     # I3a functionally dependent on {I2, nabla I2} over the 3-jet fiber
     p = JetPoint.random(curve_chart(2), 5, rng)
@@ -275,10 +273,10 @@ def test_criterion_4_reduction_identities():
     for _ in range(6):
         q = JetPoint.random(CHARTS["contact-surface"](1), 3, rng)
         try:
-            res = contact_mod.surface_reduction_residuals(q)
+            rels = contact_mod.surface_reductions(q)
         except (GeometryError, JetError):
             continue
-        worst = max(worst, max(res.values()))
+        residuals.extend(relation_residual(terms) for terms in rels.values())
 
     for _ in range(6):
         q = JetPoint.random(CHARTS["contact-function"](1), 3, rng)
@@ -287,12 +285,14 @@ def test_criterion_4_reduction_identities():
         except (GeometryError, JetError):
             continue
         ders = contact_mod.function_derivations(q)
-        worst = max(worst, relerr(val(ders["d2"](inv["I0"])), val(inv["I1a"])))
-        worst = max(worst, relerr(val(ders["d1"](inv["I0"]) + ders["d2"](inv["I0"])),
-                                  val(inv["I1b"])))
+        residuals.append(relerr(val(ders["d2"](inv["I0"])), val(inv["I1a"])))
+        residuals.append(relerr(val(ders["d1"](inv["I0"]) + ders["d2"](inv["I0"])),
+                                val(inv["I1b"])))
 
-    ok = worst <= 1e-9 and dependent
-    report(4, ok, f"reduction identities max residual {worst:.2e} <= 1e-9; "
+    worst, nonfinite = worst_finite(residuals)
+    ok = nonfinite == 0 and worst <= 1e-9 and dependent
+    report(4, ok, f"reduction identities max residual {worst:.2e} <= 1e-9 "
+                  f"({len(residuals)} residuals, {nonfinite} non-finite); "
                   f"I3a dependence rank test {'passed' if dependent else 'FAILED'}")
 
 

@@ -442,11 +442,17 @@ class TestCheckCommand:
     def test_syzygy_fails_on_a_nan_residual(self, capsys, monkeypatch):
         from sympinv import functions
 
-        monkeypatch.setattr(functions, "syzygy_residuals_n1", lambda point: {"R1": float("nan")})
+        relations = functions.relations_n1
+
+        def with_nan(point):
+            rels = relations(point)
+            return {**rels, "R1": [*rels["R1"], float("nan")]}
+
+        monkeypatch.setattr(functions, "relations_n1", with_nan)
         code = main(["check", "syzygy", "--jets", "2", "--seed", "2"])
         out = capsys.readouterr().out
         assert code == 1
-        assert out.startswith("FAIL  plane functions R1-R3: max residual nan")
+        assert out.startswith("FAIL  function/sp n=1 R1-R3: max residual nan")
 
     @pytest.mark.parametrize("suite", ["counting", "syzygy", "invariance"])
     def test_negative_seed_exits_2(self, capsys, suite):

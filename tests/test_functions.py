@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import max_invariance_error, numeric_rank, relerr, val
+from helpers import max_invariance_error, numeric_rank, relerr, residuals, val
 
 from sympinv import functions as fn
 from sympinv.errors import FrameDegeneracy
 from sympinv.exprs import parse
-from sympinv.geometry import JetPoint, function_chart
+from sympinv.geometry import JetPoint, function_chart, relation_values
 
 
 def point_from(expr_text, at, order=4, n=1, exact=False):
@@ -62,7 +62,7 @@ class TestPlaneInvariants:
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = JetPoint.random(function_chart(1), 4, rng)
-            res = fn.syzygy_residuals_n1(p)
+            res = residuals(fn.relations_n1(p))
             assert res["R1"] <= 1e-12
             assert res["R2"] <= 1e-8
             assert res["R3"] <= 1e-8
@@ -71,8 +71,9 @@ class TestPlaneInvariants:
         rng = np.random.default_rng(7)
         for _ in range(4):
             p = JetPoint.random(function_chart(1), 4, rng, exact=True)
-            for residual in fn.exact_syzygies_n1(p):
-                assert residual == Fraction(0)
+            for terms in fn.relations_n1(p).values():
+                for residual in relation_values(terms):
+                    assert residual == Fraction(0)
 
     def test_endomorphism_expansions(self):
         rng = np.random.default_rng(11)

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +17,9 @@ from test_acceptance import _BATTERY
 from sympinv import _tables
 from sympinv.cli import main
 from sympinv.errors import GeometryError, JetError, JobError
-from sympinv.geometry import CHARTS, JetPoint, default_order, n_independent
+from sympinv.geometry import (CHARTS, Derivation, JetPoint, default_order, n_independent,
+                              relation_residual, relation_values)
+from sympinv.jets import MultiJet
 from sympinv.jobs import MAX_PRODUCT_PAIRS, JobSpec
 from sympinv.signature import (RECIPES, component_labels, generator_map, invariance_targets,
                                psi_values)
@@ -171,6 +177,15 @@ def test_non_finite_samples_are_degenerate(tmp_path, command):
     assert err.startswith("error: all")
 
 
+def test_overflow_warnings_stay_off_stderr(tmp_path):
+    path = tmp_path / "nan.job"
+    path.write_text(NON_FINITE)
+    proc = subprocess.run([sys.executable, "-m", "sympinv.cli", "invariants", "--job", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: all samples degenerate\n"
+
+
 def test_non_finite_is_a_named_degeneracy(tmp_path):
     path = tmp_path / "nan.job"
     path.write_text(NON_FINITE)
@@ -184,3 +199,61 @@ def test_non_finite_is_a_named_degeneracy(tmp_path):
     cloud = strict_json(out)
     assert cloud["degenerate_count"] == flags.count("NonFinite")
     assert len(cloud["points"]) == flags.count("")
+
+
+# --- relations ----------------------------------------------------------------------
+
+SYZYGY_FAMILIES = [key for key, recipe in RECIPES.items() if recipe.syzygies is not None]
+
+
+def test_syzygy_families_are_the_five_documented_ones():
+    assert SYZYGY_FAMILIES == [("function", "sp"), ("function", "csp"), ("function", "asp"),
+                               ("contact-surface", "contact-csp"),
+                               ("contact-function", "contact-csp")]
+
+
+def generic_relations(geometry, flavor, exact, rng):
+    order, relations = RECIPES[geometry, flavor].syzygies
+    for _ in range(20):
+        point = JetPoint.random(CHARTS[geometry](1), order, rng, exact=exact)
+        try:
+            return relations(point)
+        except (GeometryError, JetError, ZeroDivisionError):
+            continue
+    raise AssertionError(f"no generic jet for {geometry}/{flavor}")
+
+
+def first_term_scaled(terms, factor):
+    first = terms[0].scale(factor) if isinstance(terms[0], Derivation) else terms[0] * factor
+    return [first, *terms[1:]]
+
+
+@pytest.mark.parametrize("geometry, flavor", SYZYGY_FAMILIES)
+def test_one_relation_list_feeds_both_checks(geometry, flavor):
+    # a relation that is off by a factor 1 + 1e-3 in one term fails the float
+    # check and the exact check alike, for every relation of the family
+    rng = np.random.default_rng(23)
+    relations = generic_relations(geometry, flavor, False, rng)
+    for name, terms in relations.items():
+        assert relation_residual(terms) <= 1e-7, name
+        assert relation_residual(first_term_scaled(terms, 1 + 1e-3)) > 1e-7, name
+    relations = generic_relations(geometry, flavor, True, rng)
+    for name, terms in relations.items():
+        assert all(v == 0 for v in relation_values(terms)), name
+        assert any(v != 0 for v in relation_values(first_term_scaled(terms, Fraction(1001, 1000)))), name
+
+
+def test_relation_residual_and_values():
+    def const(v):
+        return MultiJet.constant(v, 2, 1, (0.5, 0.5))
+
+    a, eps = 3.0, 1e-9
+    assert relation_residual([const(a), -a + eps]) == pytest.approx(eps / a, rel=1e-6)
+    assert relation_residual([const(2.0), -2]) == 0.0
+    assert relation_values([Fraction(1, 3), -Fraction(1, 3)]) == [0]
+    d = Derivation((const(1.0), const(-4.0)))
+    e = Derivation((const(-1.0), const(4.0 - 1e-6)))
+    assert relation_residual([d, e]) == pytest.approx(1e-6 / 4.0, rel=1e-6)
+    assert relation_values([d, e]) == [0.0, pytest.approx(-1e-6)]
+    assert math.isnan(relation_residual([const(1.0), float("nan")]))
+    assert math.isnan(relation_residual([d, Derivation((const(float("nan")), const(4.0)))]))
