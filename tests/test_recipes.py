@@ -240,7 +240,8 @@ def test_one_relation_list_feeds_both_checks(geometry, flavor):
     relations = generic_relations(geometry, flavor, True, rng)
     for name, terms in relations.items():
         assert all(v == 0 for v in relation_values(terms)), name
-        assert any(v != 0 for v in relation_values(first_term_scaled(terms, Fraction(1001, 1000)))), name
+        off = first_term_scaled(terms, Fraction(1001, 1000))
+        assert any(v != 0 for v in relation_values(off)), name
 
 
 def test_relation_residual_and_values():
