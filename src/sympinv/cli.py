@@ -13,17 +13,15 @@ error, 3 all samples degenerate, 4 distinct, 5 inconclusive.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from . import signature as sig_mod
-from .errors import (AllSamplesDegenerate, GeometryError, IncomparableClouds,
-                     JetError, JobError)
-from .geometry import CHARTS, JetPoint, default_order
+from .errors import AllSamplesDegenerate, IncomparableClouds, JobError
+from .geometry import CHARTS, default_order
 from .jobs import HEADER_KEYS, JobSpec
-from .prolong import orbit_dimension
+from .prolong import ORBIT_DIMENSIONS, orbit_dimension
 
 
 def _fmt(x):
@@ -100,84 +98,14 @@ def cmd_invariants(args):
 
 # --- check suites ---------------------------------------------------------------
 
-_COUNTING_CASES = [
-    # (label, geometry, flavor, n, k, expected rank)
-    ("curves R4 k=0", "curve", "sp", 2, 0, 4),
-    ("curves R4 k=1", "curve", "sp", 2, 1, 7),
-    ("curves R4 k=2", "curve", "sp", 2, 2, 9),
-    ("curves R4 k=3", "curve", "sp", 2, 3, 10),
-    ("functions n=1 k=1", "function", "sp", 1, 1, 3),
-    ("hypersurfaces R4 k=1 (open)", "hypersurface", "sp", 2, 1, 7),
-    ("hypersurfaces R4 k=2 (h2=3)", "hypersurface", "sp", 2, 2, 10),
-    ("hypersurfaces R4 k=3 (h3=10)", "hypersurface", "sp", 2, 3, 10),
-    ("surfaces R4 k=1 (open)", "surface", "sp", 2, 1, 8),
-    ("surfaces R4 k=2 (h2=4)", "surface", "sp", 2, 2, 10),
-    ("surfaces R4 k=3 (h3=8)", "surface", "sp", 2, 3, 10),
-    ("contact functions k=0 (h0=1)", "contact-function", "contact-csp", 1, 0, 3),
-    ("contact functions k=1 (h1=2)", "contact-function", "contact-csp", 1, 1, 4),
-]
-
-
-def _counting_rows(seed):
-    rows = []
-    for label, geometry, flavor, n, k, expected in _COUNTING_CASES:
-        got = orbit_dimension(geometry, flavor, n, k, seed=seed + k)
-        rows.append((label, expected, got))
-    for n in (2, 3):
-        for k in range(0, 2 * n + 1):
-            expected = min(2 * (k + 1) * n - math.comb(k + 1, 2), n * (2 * n + 1))
-            got = orbit_dimension("curve", "sp", n, k, seed=seed + 31 * n + k)
-            rows.append((f"curves 2n={2*n} k={k}", expected, got))
-    return rows
-
-
 def _check_counting(args):
-    rows = _counting_rows(args.seed)
     failures = 0
-    for label, expected, got in rows:
+    for label, geometry, flavor, n, k, expected in ORBIT_DIMENSIONS:
+        got = orbit_dimension(geometry, flavor, n, k, seed=args.seed + k)
         ok = expected == got
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'}  {label}: expected {expected}, observed {got}")
     return failures
-
-
-def _run_invariance(geometry, flavor, n, trials, jets, seed):
-    from .geometry import pushforward
-    from .symplectic import random_contact_lift, random_group_element
-
-    contact = geometry.startswith("contact")
-    chart = CHARTS[geometry](n)
-    ev = sig_mod.generator_map(geometry, flavor, n)
-
-    def values(point):
-        gens, _ = ev(point)
-        return {k: sig_mod._as_float(v) for k, v in gens.items()}
-
-    order = default_order(geometry, n)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    tested = 0
-    for _ in range(jets):
-        try:
-            point = JetPoint.random(chart, order, rng, spread=(0.6, 1.5))
-            base = values(point)
-        except (GeometryError, JetError, ZeroDivisionError):
-            continue
-        for s in range(trials):
-            if contact:
-                g = random_contact_lift(chart.space, flavor, seed + 1000 + s)
-            else:
-                g = random_group_element(chart.space, flavor, seed + 1000 + s)
-            try:
-                moved = pushforward(point, g)
-                vals = values(moved)
-            except (GeometryError, JetError, ZeroDivisionError):
-                continue
-            errs = [abs(vals[key] - v) / max(abs(v), abs(vals[key]), 1.0)
-                    for key, v in base.items()]
-            worst = float(np.max([worst, *errs]))  # keeps a NaN, unlike max()
-            tested += 1
-    return worst, tested
 
 
 def _check_invariance_suite(args):
@@ -192,8 +120,15 @@ def _check_invariance_suite(args):
     if not targets:
         print("error: no invariance targets match the filters", file=sys.stderr)
         return 1
+    seeds = range(args.seed + 1000, args.seed + 1000 + args.trials)
     for geometry, flavor, n in targets:
-        worst, tested = _run_invariance(geometry, flavor, n, args.trials, args.jets, args.seed)
+        worst, tested = 0.0, 0
+        for pair in sig_mod.invariance_sweep(geometry, flavor, n, args.jets,
+                                             np.random.default_rng(args.seed), seeds,
+                                             default_order(geometry, n), (0.6, 1.5)):
+            if pair is not None:
+                worst = float(np.max([worst, *pair[2].values()]))  # keeps a NaN, unlike max()
+                tested += 1
         ok = tested > 0 and worst <= 1e-8
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'}  invariance {geometry}/{flavor} n={n}: "
@@ -209,8 +144,8 @@ def _syzygy_report(seed, jets):
         if recipe.syzygies is None:
             continue
         results, _ = sig_mod.syzygy_sweep(geometry, flavor, jets, rng, spread=(0.6, 1.5))
-        names = list(results[0]) if results else []  # none when --jets < 1
-        label = f"{geometry}/{flavor} n=1" + (f" {names[0]}-{names[-1]}" if names else "")
+        names = list(results[0])
+        label = f"{geometry}/{flavor} n=1 {names[0]}-{names[-1]}"
         worst = float(np.max([0.0, *(r for res in results for r in res.values())]))  # keeps a NaN
         report.append((label, worst, 1e-7))
     return report
@@ -228,6 +163,9 @@ def _check_syzygy(args):
 def cmd_check(args):
     if args.seed < 0:
         raise JobError("must be >= 0", field="--seed")
+    for field, value in (("--trials", args.trials), ("--jets", args.jets)):
+        if value < 1:
+            raise JobError("must be >= 1", field=field)
     if args.suite == "counting":
         failures = _check_counting(args)
     elif args.suite == "invariance":

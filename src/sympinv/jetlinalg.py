@@ -37,27 +37,44 @@ def is_negligible(x, scale=1.0, tol=1e-10):
     return abs(float(c)) <= tol * max(scale, 1e-30)
 
 
+def _row_reduce(a, ncols, tol):
+    """Gauss-Jordan elimination of the rows `a` in place over their first
+    `ncols` columns, pivoting on constant-term magnitude; a column whose best
+    pivot is negligible against the largest entry of `a` is skipped.  Returns
+    the pivot columns in order: row i ends with a 1 in the i-th of them and
+    0 in the others."""
+    scale = max((magnitude(e) for r in a for e in r), default=1.0)
+    piv_cols = []
+    row = 0
+    for col in range(ncols):
+        piv, piv_mag = None, 0.0
+        for r in range(row, len(a)):
+            m = magnitude(a[r][col])
+            if m > piv_mag:
+                piv, piv_mag = r, m
+        if piv is None or is_negligible(a[piv][col], scale, tol):
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        a[row] = divide_all(a[row], a[row][col])
+        for r in range(len(a)):
+            if r != row:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+        piv_cols.append(col)
+        row += 1
+        if row == len(a):
+            break
+    return piv_cols
+
+
 def solve(rows, rhs, tol=1e-10):
     """Solve A x = b by Gaussian elimination with constant-term pivoting."""
     n = len(rows)
     a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    row_scale = max((magnitude(e) for r in a for e in r), default=1.0)
-    for col in range(n):
-        piv, piv_mag = None, 0.0
-        for r in range(col, n):
-            m = magnitude(a[r][col])
-            if m > piv_mag:
-                piv, piv_mag = r, m
-        if piv is None or is_negligible(a[piv][col], row_scale, tol):
-            raise _PivotFailure(f"no usable pivot in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        pval = a[col][col]
-        a[col] = divide_all(a[col], pval)
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    piv_cols = _row_reduce(a, n, tol)
+    if len(piv_cols) < n:
+        missing = next(c for c in range(n) if c not in piv_cols)
+        raise _PivotFailure(f"no usable pivot in column {missing}")
     return [a[i][n] for i in range(n)]
 
 
@@ -69,29 +86,7 @@ def kernel_vector(rows, tol=1e-10):
     """
     n = len(rows)
     a = [list(r) for r in rows]
-    scale = max((magnitude(e) for r in a for e in r), default=1.0)
-    piv_cols = []
-    row = 0
-    for col in range(n):
-        piv, piv_mag = None, 0.0
-        for r in range(row, n):
-            m = magnitude(a[r][col])
-            if m > piv_mag:
-                piv, piv_mag = r, m
-        if piv is None or is_negligible(a[piv][col], scale, tol):
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pval = a[row][col]
-        a[row] = divide_all(a[row], pval)
-        for r in range(n):
-            if r == row:
-                continue
-            f = a[r][col]
-            a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        piv_cols.append(col)
-        row += 1
-        if row == n:
-            break
+    piv_cols = _row_reduce(a, n, tol)
     free = [c for c in range(n) if c not in piv_cols]
     if not free:
         raise _PivotFailure("matrix has full rank; no kernel vector")
@@ -109,28 +104,7 @@ def kernel_vector(rows, tol=1e-10):
 def nullspace_basis(rows, ncols, tol=1e-10):
     """Basis of {v : rows . v = 0} for a short full-rank system of covectors."""
     a = [list(r) for r in rows]
-    scale = max((magnitude(e) for r in a for e in r), default=1.0)
-    piv_cols = []
-    row = 0
-    for col in range(ncols):
-        piv, piv_mag = None, 0.0
-        for r in range(row, len(a)):
-            m = magnitude(a[r][col])
-            if m > piv_mag:
-                piv, piv_mag = r, m
-        if piv is None or is_negligible(a[piv][col], scale, tol):
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pval = a[row][col]
-        a[row] = divide_all(a[row], pval)
-        for r in range(len(a)):
-            if r != row:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        piv_cols.append(col)
-        row += 1
-        if row == len(a):
-            break
+    piv_cols = _row_reduce(a, ncols, tol)
     if len(piv_cols) < len(rows):
         raise _PivotFailure("covector system is rank-deficient")
     one = _unit_like(rows)

@@ -9,6 +9,8 @@ sample jet of order k+1, so no symbolic expansion is ever performed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _tables
@@ -98,6 +100,28 @@ def orbit_dimension(geometry, flavor, n, k, seed=0, attempts=5, rel_tol=1e-9):
         if len(ranks) >= 2 and ranks[-1] == ranks[-2]:
             return ranks[-1]
     raise NonGenericSample(f"orbit rank unstable across {attempts} samples: {ranks}")
+
+
+# (label, geometry, flavor, n, k, orbit dimension) read by `sympinv check
+# counting` and the acceptance gate: the paper's counts, then the curve formula
+# min(2(k+1)n - C(k+1, 2), n(2n+1)) for 2n = 4 and 6.
+ORBIT_DIMENSIONS = (
+    ("curves R4 k=0", "curve", "sp", 2, 0, 4),
+    ("curves R4 k=1", "curve", "sp", 2, 1, 7),
+    ("curves R4 k=2", "curve", "sp", 2, 2, 9),
+    ("curves R4 k=3", "curve", "sp", 2, 3, 10),
+    ("functions n=1 k=1", "function", "sp", 1, 1, 3),
+    ("hypersurfaces R4 k=1 (open)", "hypersurface", "sp", 2, 1, 7),
+    ("hypersurfaces R4 k=2 (h2=3)", "hypersurface", "sp", 2, 2, 10),
+    ("hypersurfaces R4 k=3 (h3=10)", "hypersurface", "sp", 2, 3, 10),
+    ("surfaces R4 k=1 (open)", "surface", "sp", 2, 1, 8),
+    ("surfaces R4 k=2 (h2=4)", "surface", "sp", 2, 2, 10),
+    ("surfaces R4 k=3 (h3=8)", "surface", "sp", 2, 3, 10),
+    ("contact functions k=0 (h0=1)", "contact-function", "contact-csp", 1, 0, 3),
+    ("contact functions k=1 (h1=2)", "contact-function", "contact-csp", 1, 1, 4),
+) + tuple((f"curves 2n={2 * n} k={k}", "curve", "sp", n, k,
+           min(2 * (k + 1) * n - math.comb(k + 1, 2), n * (2 * n + 1)))
+          for n in (2, 3) for k in range(2 * n + 1))
 
 
 def jet_space_dimension(geometry, n, k):

@@ -25,8 +25,9 @@ from . import surfaces as srf_mod
 from .errors import AllSamplesDegenerate, GeometryError, IncomparableClouds, JetError, NonFinite
 from .exprs import evaluate
 from .geometry import (CHARTS, JetPoint, apply_word, default_order, parametric_curve_point,
-                       relation_residual, relation_values)
+                       pushforward, relation_residual, relation_values)
 from .jets import MultiJet
+from .symplectic import random_contact_lift, random_group_element
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,43 @@ def syzygy_sweep(geometry, flavor, count, rng, exact=False, spread=(0.5, 2.0)):
             continue
         results.append({name: check(terms) for name, terms in rels.items()})
     return results, skipped
+
+
+def invariance_sweep(geometry, flavor, n, jets, rng, element_seeds, order, spread):
+    """Push random generic jets through group elements and compare the generators.
+
+    Draws jets from `rng` at `order` and `spread` until `jets` of them are
+    generic (the generators evaluate on them), or 200 * jets draws are spent.
+    Each generic jet in turn meets the element of each seed in order (the
+    contact lift on contact geometries; the elements are built once).  Yields
+    one record per pair: (moved point, generator values on it, {label:
+    |a - b| / max(|a|, |b|, 1)}), or None when the pushforward or the
+    generators on the image degenerate.  The sweep is lazy, so a caller may
+    draw from `rng` between pairs.
+    """
+    chart = CHARTS[geometry](n)
+    ev = generator_map(geometry, flavor, n)
+    lift = random_contact_lift if geometry.startswith("contact") else random_group_element
+    elements = [lift(chart.space, flavor, seed) for seed in element_seeds]
+    generic = 0
+    for _ in range(200 * jets):
+        if generic == jets:
+            return
+        point = JetPoint.random(chart, order, rng, spread=spread)
+        try:
+            base = {k: _as_float(v) for k, v in ev(point)[0].items()}
+        except (GeometryError, JetError, ZeroDivisionError):
+            continue
+        generic += 1
+        for g in elements:
+            try:
+                moved = pushforward(point, g)
+                values = {k: _as_float(v) for k, v in ev(moved)[0].items()}
+            except (GeometryError, JetError, ZeroDivisionError):
+                yield None
+                continue
+            yield moved, values, {k: abs(values[k] - v) / max(abs(v), abs(values[k]), 1.0)
+                                  for k, v in base.items()}
 
 
 def generator_map(geometry, flavor, n):

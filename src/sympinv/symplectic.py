@@ -335,20 +335,15 @@ def hamiltonian_field(h, space, contact=False):
 
 
 def quadratic_monomials(space):
-    """The Hamiltonian basis <x_i x_j, x_i y_j, y_i y_j> as Poly objects."""
+    """The Hamiltonian basis <x_i x_j, x_i y_j, y_i y_j> as Poly objects, x_i
+    and y_i the two coordinates of the i-th Darboux pair."""
+    nv = space.dim
+    xs = [Poly.coordinate(nv, a) for a, _ in space.pairs]
+    ys = [Poly.coordinate(nv, b) for _, b in space.pairs]
     n = space.n
-    nv = 2 * n
-    polys = []
-    for i in range(n):
-        for j in range(i, n):
-            polys.append(Poly.coordinate(nv, i) * Poly.coordinate(nv, j))
-    for i in range(n):
-        for j in range(n):
-            polys.append(Poly.coordinate(nv, i) * Poly.coordinate(nv, n + j))
-    for i in range(n):
-        for j in range(i, n):
-            polys.append(Poly.coordinate(nv, n + i) * Poly.coordinate(nv, n + j))
-    return polys
+    return ([xs[i] * xs[j] for i in range(n) for j in range(i, n)]
+            + [xs[i] * ys[j] for i in range(n) for j in range(n)]
+            + [ys[i] * ys[j] for i in range(n) for j in range(i, n)])
 
 
 def algebra_basis(space, flavor):
@@ -358,8 +353,7 @@ def algebra_basis(space, flavor):
     pairing coordinates through the declared pairs.
     """
     nv = space.dim
-    base = _sp_fields_from_pairs(space)
-    fields = list(base)
+    fields = [hamiltonian_field(h, space) for h in quadratic_monomials(space)]
     if flavor in ("csp", "acsp"):
         fields.append(VectorField(tuple(Poly.coordinate(nv, i) for i in range(nv))))
     if flavor in ("asp", "acsp"):
@@ -370,31 +364,6 @@ def algebra_basis(space, flavor):
     if flavor not in ("sp", "csp", "asp", "acsp"):
         raise ValueError(f"unknown flavor {flavor!r}")
     return fields
-
-
-def _sp_fields_from_pairs(space):
-    """sp(2n) basis respecting arbitrary coordinate ordering via pairs."""
-    nv = space.dim
-    xs = [a for (a, b) in space.pairs]
-    ys = [b for (a, b) in space.pairs]
-    polys = []
-    for i in range(space.n):
-        for j in range(i, space.n):
-            polys.append(Poly.coordinate(nv, xs[i]) * Poly.coordinate(nv, xs[j]))
-    for i in range(space.n):
-        for j in range(space.n):
-            polys.append(Poly.coordinate(nv, xs[i]) * Poly.coordinate(nv, ys[j]))
-    for i in range(space.n):
-        for j in range(i, space.n):
-            polys.append(Poly.coordinate(nv, ys[i]) * Poly.coordinate(nv, ys[j]))
-    out = []
-    for h in polys:
-        coeffs = [Poly.zero(nv)] * nv
-        for (a, b) in space.pairs:
-            coeffs[a] = coeffs[a] + h.diff(b)
-            coeffs[b] = coeffs[b] - h.diff(a)
-        out.append(VectorField(tuple(coeffs)))
-    return out
 
 
 def contact_algebra_basis(cspace, flavor):

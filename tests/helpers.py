@@ -40,7 +40,8 @@ def relerr(a, b):
 
 
 def max_invariance_error(point, evaluator, flavor, n_elements, seed0=0, contact=False):
-    """Largest relative change of evaluator(point) under random pushforwards."""
+    """Largest relative change of evaluator(point) under random pushforwards;
+    NaN when any change is NaN."""
     base = evaluator(point)
     worst = 0.0
     space = point.chart.space
@@ -51,8 +52,8 @@ def max_invariance_error(point, evaluator, flavor, n_elements, seed0=0, contact=
             g = random_group_element(space, flavor, seed0 + s)
         moved = pushforward(point, g)
         vals = evaluator(moved)
-        for key, v in base.items():
-            worst = max(worst, relerr(vals[key], v))
+        # np.max keeps a NaN, which max(0.0, nan) would drop
+        worst = float(np.max([worst, *(relerr(vals[key], v) for key, v in base.items())]))
     return worst
 
 

@@ -27,9 +27,10 @@ from sympinv.exprs import BinOp, ExprAst, Neg, Num, Pow, Var, evaluate, parse
 from sympinv.geometry import (CHARTS, JetPoint, curve_chart, function_chart, pushforward,
                               relation_residual)
 from sympinv.jets import MultiJet, compose_many, invert_series
-from sympinv.prolong import jet_space_dimension, orbit_dimension
-from sympinv.signature import RECIPES, generator_map, syzygy_sweep, _as_float
-from sympinv.symplectic import random_contact_lift, random_group_element
+from sympinv.prolong import ORBIT_DIMENSIONS, jet_space_dimension, orbit_dimension
+from sympinv.signature import (RECIPES, generator_map, invariance_sweep, invariance_targets,
+                               syzygy_sweep, _as_float)
+from sympinv.symplectic import random_group_element
 
 
 def report(criterion, ok, detail):
@@ -45,39 +46,26 @@ def report(criterion, ok, detail):
 def test_criterion_1_orbit_dimension_tables():
     t0 = time.time()
     failures = []
-
-    def expect(label, geometry, flavor, n, k, expected):
+    for label, geometry, flavor, n, k, expected in ORBIT_DIMENSIONS:
         got = orbit_dimension(geometry, flavor, n, k, seed=17 * k + n)
         if got != expected:
             failures.append(f"{label}: expected {expected}, got {got}")
-
-    for k, dim in enumerate((4, 7, 9, 10)):
-        expect(f"curves R4 k={k}", "curve", "sp", 2, k, dim)
-    for n in (2, 3):
-        for k in range(0, 2 * n + 1):
-            expected = min(2 * (k + 1) * n - math.comb(k + 1, 2), n * (2 * n + 1))
-            expect(f"curves 2n={2*n} k={k}", "curve", "sp", n, k, expected)
-    expect("functions n=1 k=1 (codim 2)", "function", "sp", 1, 1,
-           jet_space_dimension("function", 1, 1) - 2)
-    expect("hypersurfaces R4 k=1 open", "hypersurface", "sp", 2, 1,
-           jet_space_dimension("hypersurface", 2, 1))
-    expect("hypersurfaces R4 k=2 (h2=3)", "hypersurface", "sp", 2, 2, 10)
-    expect("hypersurfaces R4 k=3 (h3=10)", "hypersurface", "sp", 2, 3, 10)
+    table = {label: expected for label, *_, expected in ORBIT_DIMENSIONS}
+    # the open k=1 rows fill their jet space; the function row has codimension 2
+    for label, dim in (("functions n=1 k=1", jet_space_dimension("function", 1, 1) - 2),
+                       ("hypersurfaces R4 k=1 (open)", jet_space_dimension("hypersurface", 2, 1)),
+                       ("surfaces R4 k=1 (open)", jet_space_dimension("surface", 2, 1))):
+        if table[label] != dim:
+            failures.append(f"{label}: table has {table[label]}, jet space gives {dim}")
     # h2 = dim J^2 - rank - s1 with s1 = 0; h3 from the free action at k=3
     h2 = jet_space_dimension("hypersurface", 2, 2) - 10
     h3 = (jet_space_dimension("hypersurface", 2, 3) - 10) - h2
     if (h2, h3) != (3, 10):
         failures.append(f"hypersurface counts: h2={h2}, h3={h3}")
-    expect("surfaces R4 k=1 open", "surface", "sp", 2, 1,
-           jet_space_dimension("surface", 2, 1))
-    expect("surfaces R4 k=2", "surface", "sp", 2, 2, 10)
-    expect("surfaces R4 k=3", "surface", "sp", 2, 3, 10)
     s2 = jet_space_dimension("surface", 2, 2) - 10
     s3 = jet_space_dimension("surface", 2, 3) - 10
     if (s2, s3 - s2) != (4, 8):
         failures.append(f"surface counts: h2={s2}, h3={s3-s2}")
-    expect("contact functions k=0 (h0=1)", "contact-function", "contact-csp", 1, 0, 3)
-    expect("contact functions k=1 (h1=2)", "contact-function", "contact-csp", 1, 1, 4)
     c0 = jet_space_dimension("contact-function", 1, 0) - 3
     c1 = (jet_space_dimension("contact-function", 1, 1) - 4) - c0
     if (c0, c1) != (1, 2):
@@ -92,17 +80,6 @@ def test_criterion_1_orbit_dimension_tables():
 # -----------------------------------------------------------------------------
 # 2. invariance battery
 # -----------------------------------------------------------------------------
-
-_BATTERY = [
-    ("function", "sp", 1), ("function", "sp", 2),
-    ("function", "csp", 1), ("function", "asp", 1), ("function", "acsp", 1),
-    ("curve", "sp", 1), ("curve", "sp", 2), ("curve", "sp", 3),
-    ("curve", "csp", 1), ("curve", "asp", 1), ("curve", "acsp", 1),
-    ("hypersurface", "sp", 2), ("hypersurface", "sp", 3),
-    ("surface", "sp", 2),
-    ("contact-curve", "contact", 1), ("contact-curve", "contact-csp", 1),
-    ("contact-surface", "contact-csp", 1), ("contact-function", "contact-csp", 1),
-]
 
 def _battery_order(geometry, flavor, n):
     """Smallest jet order that determines the exported generator values."""
@@ -125,68 +102,46 @@ def _jittered(point, rng, rel=1e-7):
 
 def test_criterion_2_invariance_battery():
     t0 = time.time()
-    worst_overall = 0.0
-    skipped_total = 0
-    pairs_total = 0
+    worst = 0.0
+    skipped = 0
+    pairs = 0
     nonfinite = 0
-    for geometry, flavor, n in _BATTERY:
-        chart = CHARTS[geometry](n)
-        ev = generator_map(geometry, flavor, n)
-        contact = geometry.startswith("contact")
-        if contact:
-            elements = [random_contact_lift(chart.space, flavor, 5000 + s) for s in range(50)]
-        else:
-            elements = [random_group_element(chart.space, flavor, 5000 + s) for s in range(50)]
-        rng = np.random.default_rng(zlib.crc32(f"{geometry}/{flavor}/{n}".encode()))
-        order = _battery_order(geometry, flavor, n)
-        jets_done = 0
-        worst = 0.0
-        while jets_done < 20:
-            try:
-                point = JetPoint.random(chart, order, rng, spread=(0.6, 1.4))
-                gens, _ = ev(point)
-                base = {k: _as_float(v) for k, v in gens.items()}
-            except (GeometryError, JetError, ZeroDivisionError):
+    for target in invariance_targets():
+        ev = generator_map(*target)
+        rng = np.random.default_rng(zlib.crc32("{}/{}/{}".format(*target).encode()))
+        for pair in invariance_sweep(*target, 20, rng, range(5000, 5050),
+                                     _battery_order(*target), (0.6, 1.4)):
+            if pair is None:
+                skipped += 1
                 continue
-            for g in elements:
+            moved, values, errors = pair
+            pairs += 1
+            if not all(math.isfinite(e) for e in errors.values()):
+                # max() and "> 1e-8" both pass over a NaN silently
+                nonfinite += 1
+                continue
+            mismatch = max(errors.values())
+            if mismatch > 1e-8:
+                # condition screening: if the invariants are unstable under
+                # a 1e-7 input jitter at this sample, the pair sits near a
+                # degenerate locus and is not generic at float precision
                 try:
-                    moved = pushforward(point, g)
-                    gens_m, _ = ev(moved)
-                    vals_m = {k: _as_float(v) for k, v in gens_m.items()}
+                    gens_j, _ = ev(_jittered(moved, rng))
+                    drift = max(abs(_as_float(gens_j[k]) - v) / max(abs(v), 1.0)
+                                for k, v in values.items())
                 except (GeometryError, JetError, ZeroDivisionError):
-                    skipped_total += 1
+                    drift = float("inf")
+                if drift > mismatch / 10:
+                    skipped += 1
+                    pairs -= 1
                     continue
-                pairs_total += 1
-                errs = [abs(vals_m[k] - v) / max(abs(v), abs(vals_m[k]), 1.0)
-                        for k, v in base.items()]
-                if not all(math.isfinite(e) for e in errs):
-                    # max() and "> 1e-8" both pass over a NaN silently
-                    nonfinite += 1
-                    continue
-                mismatch = max(errs)
-                if mismatch > 1e-8:
-                    # condition screening: if the invariants are unstable under
-                    # a 1e-7 input jitter at this sample, the pair sits near a
-                    # degenerate locus and is not generic at float precision
-                    try:
-                        gens_j, _ = ev(_jittered(moved, rng))
-                        drift = max(abs(_as_float(gens_j[k]) - vals_m[k])
-                                    / max(abs(vals_m[k]), 1.0) for k in base)
-                    except (GeometryError, JetError, ZeroDivisionError):
-                        drift = float("inf")
-                    if drift > mismatch / 10:
-                        skipped_total += 1
-                        pairs_total -= 1
-                        continue
-                worst = max(worst, mismatch)
-            jets_done += 1
-        worst_overall = max(worst_overall, worst)
+            worst = max(worst, mismatch)
     elapsed = time.time() - t0
-    retained = pairs_total / max(pairs_total + skipped_total, 1)
-    ok = nonfinite == 0 and worst_overall <= 1e-8 and elapsed < 120 and retained >= 0.9
-    report(2, ok, f"50 elements x 20 jets per geometry ({pairs_total} generic pairs, "
+    retained = pairs / max(pairs + skipped, 1)
+    ok = nonfinite == 0 and worst <= 1e-8 and elapsed < 120 and retained >= 0.9
+    report(2, ok, f"50 elements x 20 jets per geometry ({pairs} generic pairs, "
                   f"{retained:.0%} retained, {nonfinite} non-finite), "
-                  f"max rel err {worst_overall:.2e} <= 1e-8 in {elapsed:.1f}s")
+                  f"max rel err {worst:.2e} <= 1e-8 in {elapsed:.1f}s")
 
 
 # -----------------------------------------------------------------------------

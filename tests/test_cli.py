@@ -459,6 +459,15 @@ class TestCheckCommand:
         assert main(["check", suite, "--seed", "-1", "--trials", "1", "--jets", "1"]) == 2
         assert capsys.readouterr().err == "error: --seed: must be >= 0\n"
 
+    @pytest.mark.parametrize("suite", ["counting", "syzygy", "invariance"])
+    @pytest.mark.parametrize("option", ["--trials", "--jets"])
+    def test_trials_and_jets_below_one_exit_2(self, capsys, suite, option):
+        for value in ("0", "-1"):
+            assert main(["check", suite, option, value]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {option}: must be >= 1\n"
+            assert captured.out == ""
+
     def test_invariance_suite_small(self, capsys):
         code = main(["check", "invariance", "--geometry", "curve", "--flavor", "sp",
                      "--n", "1", "--trials", "5", "--jets", "3"])

@@ -134,6 +134,15 @@ class TestSpaceCurves:
 
         assert max_invariance_error(p, evaluate, "sp", 12, seed0=300) <= 1e-8
 
+    def test_invariance_error_keeps_a_nan_generator(self):
+        p = JetPoint.random(curve_chart(2), 6, np.random.default_rng(43))
+
+        def evaluate(q):
+            gens, _ = curves.invariants(q)
+            return {"I2": val(gens["I2"]), "broken": float("nan")}
+
+        assert np.isnan(max_invariance_error(p, evaluate, "sp", 2, seed0=300))
+
     def test_i3a_functionally_dependent_on_i2_and_derivative(self):
         rng = np.random.default_rng(47)
         p = JetPoint.random(curve_chart(2), 5, rng)

@@ -12,7 +12,9 @@ from sympinv.geometry import (
     JetPoint,
     curve_chart,
     function_chart,
+    hypersurface_chart,
     pushforward,
+    surface_chart,
 )
 from sympinv.exprs import parse
 from sympinv.prolong import jet_space_dimension, orbit_dimension
@@ -47,6 +49,40 @@ class TestSpaces:
         ux, uy = 0.7, -0.3
         v = sp.omega_inv_oneform([ux, uy])
         assert v == [-uy, ux]
+
+
+def sp_fields_by_pairs(space):
+    """The sp(2n) basis as algebra_basis built it before it read
+    quadratic_monomials: x_i, y_i the coordinates of the i-th Darboux pair."""
+    nv = space.dim
+    xs = [a for (a, b) in space.pairs]
+    ys = [b for (a, b) in space.pairs]
+    polys = []
+    for i in range(space.n):
+        for j in range(i, space.n):
+            polys.append(Poly.coordinate(nv, xs[i]) * Poly.coordinate(nv, xs[j]))
+    for i in range(space.n):
+        for j in range(space.n):
+            polys.append(Poly.coordinate(nv, xs[i]) * Poly.coordinate(nv, ys[j]))
+    for i in range(space.n):
+        for j in range(i, space.n):
+            polys.append(Poly.coordinate(nv, ys[i]) * Poly.coordinate(nv, ys[j]))
+    out = []
+    for h in polys:
+        coeffs = [Poly.zero(nv)] * nv
+        for (a, b) in space.pairs:
+            coeffs[a] = coeffs[a] + h.diff(b)
+            coeffs[b] = coeffs[b] - h.diff(a)
+        out.append(tuple(coeffs))
+    return out
+
+
+@pytest.mark.parametrize("chart", [curve_chart(3), hypersurface_chart(3), surface_chart(),
+                                   function_chart(2)],
+                         ids=["curve-3", "hypersurface-3", "surface", "function-2"])
+def test_sp_basis_is_the_pairwise_construction(chart):
+    fields = algebra_basis(chart.space, "sp")
+    assert [f.coeffs for f in fields] == sp_fields_by_pairs(chart.space)
 
 
 class TestHamiltonianFields:
