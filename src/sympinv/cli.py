@@ -18,10 +18,10 @@ import sys
 import numpy as np
 
 from . import signature as sig_mod
-from .errors import AllSamplesDegenerate, IncomparableClouds, JobError
+from .errors import AllSamplesDegenerate, IncomparableClouds, JobError, NonGenericSample
 from .geometry import CHARTS, default_order
 from .jobs import HEADER_KEYS, JobSpec
-from .prolong import ORBIT_DIMENSIONS, orbit_dimension
+from .prolong import orbit_table
 
 
 def _fmt(x):
@@ -98,83 +98,64 @@ def cmd_invariants(args):
 
 # --- check suites ---------------------------------------------------------------
 
-def _check_counting(args):
-    failures = 0
-    for label, geometry, flavor, n, k, expected in ORBIT_DIMENSIONS:
-        got = orbit_dimension(geometry, flavor, n, k, seed=args.seed + k)
-        ok = expected == got
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'}  {label}: expected {expected}, observed {got}")
-    return failures
+def _counting_rows(args):
+    for label, expected, got in orbit_table(args.seed):
+        yield expected == got, f"{label}: expected {expected}, observed {got}"
 
 
-def _check_invariance_suite(args):
-    failures = 0
-    targets = sig_mod.invariance_targets()
-    if args.geometry:
-        targets = [t for t in targets if t[0] == args.geometry]
-    if args.flavor:
-        targets = [t for t in targets if t[1] == args.flavor]
-    if args.n:
-        targets = [t for t in targets if t[2] == args.n]
-    if not targets:
-        print("error: no invariance targets match the filters", file=sys.stderr)
-        return 1
+def _invariance_rows(args, targets):
     seeds = range(args.seed + 1000, args.seed + 1000 + args.trials)
     for geometry, flavor, n in targets:
         worst, tested = 0.0, 0
-        for pair in sig_mod.invariance_sweep(geometry, flavor, n, args.jets,
-                                             np.random.default_rng(args.seed), seeds,
-                                             default_order(geometry, n), (0.6, 1.5)):
-            if pair is not None:
-                worst = float(np.max([worst, *pair[2].values()]))  # keeps a NaN, unlike max()
-                tested += 1
-        ok = tested > 0 and worst <= 1e-8
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'}  invariance {geometry}/{flavor} n={n}: "
-              f"max rel err {worst:.2e} over {tested} pushforwards")
-    return failures
+        try:
+            for pair in sig_mod.invariance_sweep(geometry, flavor, n, args.jets,
+                                                 np.random.default_rng(args.seed), seeds,
+                                                 default_order(geometry, n), (0.6, 1.5)):
+                if pair is not None:
+                    worst = float(np.max([worst, *pair[2].values()]))  # keeps a NaN, unlike max()
+                    tested += 1
+        except NonGenericSample as err:
+            yield False, f"invariance {err}"
+            continue
+        yield (tested > 0 and worst <= 1e-8,
+               f"invariance {geometry}/{flavor} n={n}: "
+               f"max rel err {worst:.2e} over {tested} pushforwards")
 
 
-def _syzygy_report(seed, jets):
-    """(label, worst residual, tolerance) of each recipe with relations."""
-    rng = np.random.default_rng(seed)
-    report = []
+def _syzygy_rows(args):
+    rng = np.random.default_rng(args.seed)
     for (geometry, flavor), recipe in sig_mod.RECIPES.items():
         if recipe.syzygies is None:
             continue
-        results, _ = sig_mod.syzygy_sweep(geometry, flavor, jets, rng, spread=(0.6, 1.5))
+        results, _ = sig_mod.syzygy_sweep(geometry, flavor, args.jets, rng, spread=(0.6, 1.5))
         names = list(results[0])
-        label = f"{geometry}/{flavor} n=1 {names[0]}-{names[-1]}"
         worst = float(np.max([0.0, *(r for res in results for r in res.values())]))  # keeps a NaN
-        report.append((label, worst, 1e-7))
-    return report
-
-
-def _check_syzygy(args):
-    failures = 0
-    for name, worst, tol in _syzygy_report(args.seed, args.jets):
-        ok = worst <= tol
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: max residual {worst:.2e} (tol {tol:g})")
-    return failures
+        yield (worst <= 1e-7, f"{geometry}/{flavor} n=1 {names[0]}-{names[-1]}: "
+                              f"max residual {worst:.2e} (tol 1e-07)")
 
 
 def cmd_check(args):
+    """Print one PASS/FAIL row per case of the suite; exit 1 on any FAIL."""
     if args.seed < 0:
         raise JobError("must be >= 0", field="--seed")
     for field, value in (("--trials", args.trials), ("--jets", args.jets)):
         if value < 1:
             raise JobError("must be >= 1", field=field)
-    if args.suite == "counting":
-        failures = _check_counting(args)
-    elif args.suite == "invariance":
-        failures = _check_invariance_suite(args)
-    elif args.suite == "syzygy":
-        failures = _check_syzygy(args)
+    if args.suite == "invariance":
+        targets = [t for t in sig_mod.invariance_targets()
+                   if (not args.geometry or t[0] == args.geometry)
+                   and (not args.flavor or t[1] == args.flavor)
+                   and (not args.n or t[2] == args.n)]
+        if not targets:
+            print("error: no invariance targets match the filters", file=sys.stderr)
+            return 1
+        rows = _invariance_rows(args, targets)
     else:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
+        rows = {"counting": _counting_rows, "syzygy": _syzygy_rows}[args.suite](args)
+    failures = 0
+    for ok, text in rows:
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'}  {text}")
     return 1 if failures else 0
 
 

@@ -124,6 +124,20 @@ ORBIT_DIMENSIONS = (
           for n in (2, 3) for k in range(2 * n + 1))
 
 
+def orbit_table(seed=0):
+    """(label, expected, observed) of each ORBIT_DIMENSIONS row, in order.
+
+    Each (geometry, flavor, n, k) is sampled once, at seed + 17k + n: the
+    curves R4 rows and the curves 2n=4 rows k <= 3 share their ranks.
+    """
+    ranks = {}
+    for label, geometry, flavor, n, k, expected in ORBIT_DIMENSIONS:
+        case = geometry, flavor, n, k
+        if case not in ranks:
+            ranks[case] = orbit_dimension(*case, seed=seed + 17 * k + n)
+        yield label, expected, ranks[case]
+
+
 def jet_space_dimension(geometry, n, k):
     chart = CHARTS[geometry](n)
     p = chart.n_independent

@@ -22,7 +22,8 @@ from . import extended as ext_mod
 from . import functions as fn_mod
 from . import hypersurfaces as hyp_mod
 from . import surfaces as srf_mod
-from .errors import AllSamplesDegenerate, GeometryError, IncomparableClouds, JetError, NonFinite
+from .errors import (AllSamplesDegenerate, GeometryError, IncomparableClouds, JetError, NonFinite,
+                     NonGenericSample)
 from .exprs import evaluate
 from .geometry import (CHARTS, JetPoint, apply_word, default_order, parametric_curve_point,
                        pushforward, relation_residual, relation_values)
@@ -196,13 +197,13 @@ def invariance_sweep(geometry, flavor, n, jets, rng, element_seeds, order, sprea
     """Push random generic jets through group elements and compare the generators.
 
     Draws jets from `rng` at `order` and `spread` until `jets` of them are
-    generic (the generators evaluate on them), or 200 * jets draws are spent.
-    Each generic jet in turn meets the element of each seed in order (the
-    contact lift on contact geometries; the elements are built once).  Yields
-    one record per pair: (moved point, generator values on it, {label:
-    |a - b| / max(|a|, |b|, 1)}), or None when the pushforward or the
-    generators on the image degenerate.  The sweep is lazy, so a caller may
-    draw from `rng` between pairs.
+    generic (the generators evaluate on them); raises NonGenericSample once
+    200 * jets draws are spent short of that.  Each generic jet in turn meets
+    the element of each seed in order (the contact lift on contact geometries;
+    the elements are built once).  Yields one record per pair: (moved point,
+    generator values on it, {label: |a - b| / max(|a|, |b|, 1)}), or None when
+    the pushforward or the generators on the image degenerate.  The sweep is
+    lazy, so a caller may draw from `rng` between pairs.
     """
     chart = CHARTS[geometry](n)
     ev = generator_map(geometry, flavor, n)
@@ -210,8 +211,6 @@ def invariance_sweep(geometry, flavor, n, jets, rng, element_seeds, order, sprea
     elements = [lift(chart.space, flavor, seed) for seed in element_seeds]
     generic = 0
     for _ in range(200 * jets):
-        if generic == jets:
-            return
         point = JetPoint.random(chart, order, rng, spread=spread)
         try:
             base = {k: _as_float(v) for k, v in ev(point)[0].items()}
@@ -227,6 +226,10 @@ def invariance_sweep(geometry, flavor, n, jets, rng, element_seeds, order, sprea
                 continue
             yield moved, values, {k: abs(values[k] - v) / max(abs(v), abs(values[k]), 1.0)
                                   for k, v in base.items()}
+        if generic == jets:
+            return
+    raise NonGenericSample(f"{geometry}/{flavor} n={n}: too few generic jets "
+                           f"({generic} of {jets} in {200 * jets} draws)")
 
 
 def generator_map(geometry, flavor, n):

@@ -22,12 +22,12 @@ from sympinv import extended as ext_mod
 from sympinv import functions as fn_mod
 from sympinv import hypersurfaces as hyp_mod
 from sympinv.cli import main as cli_main
-from sympinv.errors import GeometryError, JetError
+from sympinv.errors import DegenerateJet, GeometryError, JetError, NonGenericSample
 from sympinv.exprs import BinOp, ExprAst, Neg, Num, Pow, Var, evaluate, parse
 from sympinv.geometry import (CHARTS, JetPoint, curve_chart, function_chart, pushforward,
                               relation_residual)
 from sympinv.jets import MultiJet, compose_many, invert_series
-from sympinv.prolong import ORBIT_DIMENSIONS, jet_space_dimension, orbit_dimension
+from sympinv.prolong import ORBIT_DIMENSIONS, jet_space_dimension, orbit_table
 from sympinv.signature import (RECIPES, generator_map, invariance_sweep, invariance_targets,
                                syzygy_sweep, _as_float)
 from sympinv.symplectic import random_group_element
@@ -46,8 +46,7 @@ def report(criterion, ok, detail):
 def test_criterion_1_orbit_dimension_tables():
     t0 = time.time()
     failures = []
-    for label, geometry, flavor, n, k, expected in ORBIT_DIMENSIONS:
-        got = orbit_dimension(geometry, flavor, n, k, seed=17 * k + n)
+    for label, expected, got in orbit_table():
         if got != expected:
             failures.append(f"{label}: expected {expected}, got {got}")
     table = {label: expected for label, *_, expected in ORBIT_DIMENSIONS}
@@ -142,6 +141,21 @@ def test_criterion_2_invariance_battery():
     report(2, ok, f"50 elements x 20 jets per geometry ({pairs} generic pairs, "
                   f"{retained:.0%} retained, {nonfinite} non-finite), "
                   f"max rel err {worst:.2e} <= 1e-8 in {elapsed:.1f}s")
+
+
+def test_criterion_2_fails_on_a_target_without_generic_jets(monkeypatch):
+    """A target that degenerates on every jet stops the gate: it cannot drop
+    out of the pair count."""
+    from sympinv import signature
+
+    def degenerate(point):
+        raise DegenerateJet("every sample")
+
+    real, first = signature.generator_map, invariance_targets()[0]
+    monkeypatch.setattr(signature, "generator_map",
+                        lambda *target: degenerate if target == first else real(*target))
+    with pytest.raises(NonGenericSample, match="too few generic jets"):
+        test_criterion_2_invariance_battery()
 
 
 # -----------------------------------------------------------------------------

@@ -468,6 +468,20 @@ class TestCheckCommand:
             assert captured.err == f"error: {option}: must be >= 1\n"
             assert captured.out == ""
 
+    def test_invariance_fails_a_target_without_generic_jets(self, capsys, monkeypatch):
+        from sympinv import signature
+        from sympinv.errors import DegenerateJet
+
+        def degenerate(point):
+            raise DegenerateJet("every sample")
+
+        monkeypatch.setattr(signature, "generator_map", lambda *target: degenerate)
+        code = main(["check", "invariance", "--geometry", "curve", "--flavor", "sp",
+                     "--n", "1", "--trials", "2", "--jets", "1"])
+        assert code == 1
+        assert capsys.readouterr().out == ("FAIL  invariance curve/sp n=1: too few generic "
+                                           "jets (0 of 1 in 200 draws)\n")
+
     def test_invariance_suite_small(self, capsys):
         code = main(["check", "invariance", "--geometry", "curve", "--flavor", "sp",
                      "--n", "1", "--trials", "5", "--jets", "3"])
