@@ -5,8 +5,12 @@ stored as a flat vector over the graded-lex monomial list produced here; the
 layout of a lower order is a prefix of that of a higher one.  The product
 table enumerates every ordered coefficient pair that contributes to the
 truncated product; :func:`sympinv.kernels.mul_table` consumes it.  Its pairs
-are i-major, so the pairs whose first factor has degree >= d form a suffix,
-which :func:`suffix_tables` hands out as cached views.  The reciprocal plan
+are i-major, so the pairs whose first factor has degree >= d form a suffix.
+:func:`suffix_tables` hands out those suffixes of the table without its
+pairs whose second factor is the constant monomial (pj == 0), for the
+monomial jets of a composition: their right factor h = g - g(0) has an exact
+zero constant term, so those pairs add +-0 when its coefficients are finite.
+The reciprocal plan
 regroups the pairs with a non-constant first factor by the degree of their
 target, for the graded reciprocal.  The compose plan gives each monomial's
 parent in the recursion that builds the monomial jets of a composition.
@@ -109,13 +113,20 @@ def pair_count(nvars, order):
 
 @lru_cache(maxsize=None)
 def suffix_tables(nvars, order):
-    """Views of ``product_table(nvars, order)`` by the degree of the first factor.
+    """The product-table pairs of a monomial-jet product, by the degree of its left factor.
 
-    Entry d is (pi[s:], pj[s:], pr[s:]), where s is the first pair whose i has
-    degree >= d.  A product whose left factor vanishes below degree d gets
-    only +-0 terms from the pairs before s.
+    Entry d is (pi, pj, pr): the pairs of ``product_table(nvars, order)`` with
+    deg_i >= d and pj > 0, in table order.  They are views of one copy of the
+    table without its pj == 0 pairs, each a suffix of it, since the pairs are
+    i-major.  In a product a * h whose left factor vanishes below degree d
+    and whose right factor h has a zero constant term, every dropped pair
+    adds a +-0 product when the coefficients are finite; a bincount sum
+    starts at +0.0 and a +-0 term leaves any sum's bits unchanged, so the
+    kept pairs give the bits of the whole table.
     """
     pi, pj, pr = product_table(nvars, order)
+    keep = pj > 0
+    pi, pj, pr = pi[keep], pj[keep], pr[keep]
     # count(nvars, d - 1) is the index of the first monomial of degree d
     starts = np.searchsorted(pi, [count(nvars, d - 1) for d in range(order + 1)])
     return tuple((pi[s:], pj[s:], pr[s:]) for s in starts)

@@ -13,6 +13,7 @@ error, 3 all samples degenerate, 4 distinct, 5 inconclusive.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -181,6 +182,8 @@ def cmd_signature(args):
 
 
 def cmd_equivalence(args):
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise JobError("must be a finite number > 0", field="--tol")
     job1 = _load_job(args.job, args)
     job2 = _load_job(args.job2, args)
     if (job1.geometry, job1.flavor, job1.depth) != (job2.geometry, job2.flavor, job2.depth):

@@ -31,12 +31,19 @@ Composition with an inner map g takes the monomial jets h^sigma of
 h = g - g(0) once and evaluates every outer against them (``compose_many``):
 the inversion composes all p components of its nonlinear part with the same
 inner map on each pass, and a pushforward all dependent jets.  In float mode
-the monomial jets are the rows of one array and the outers meet it in one
-``np.einsum`` contraction rather than a BLAS ``gemm``, so results do not
-depend on the BLAS thread count.  A row of degree d vanishes below degree d,
-so its product runs over the suffix of the product table whose left factor
-has degree >= d - 1 (``_tables.suffix_tables``); the pairs it skips add
-exact zeros, so every coefficient keeps its bits.
+both run on coefficient arrays, not on jets: the monomial jets are the rows
+of one array, built and met by the outers in one private routine
+(``_compose_rows``) through one ``np.einsum`` contraction rather than a BLAS
+``gemm``, so results do not depend on the BLAS thread count.  A row of
+degree d vanishes below degree d, and h has an exact zero constant term, so
+its product runs over the pairs of the product table whose left factor has
+degree >= d - 1 and whose right factor is not the constant monomial
+(``_tables.suffix_tables``).  For finite coefficients every skipped pair
+adds +-0, so every coefficient keeps the bits of the whole-table product.
+
+``invert_series`` runs its growing-order passes on one (p, ncoeff) float64
+array and builds the p result jets once at the end; exact mode keeps the
+jet-level passes, which are the oracle of the float arithmetic.
 """
 from __future__ import annotations
 
@@ -547,19 +554,14 @@ def compose_many(outers, inners):
     min(outers[i].order, order of the inners), the basepoint object of the
     first inner.
 
-    Float mode stacks the monomial jets as the rows of one array and takes
-    all outers in one contraction ``np.einsum("km,mn->kn", C, M)``.  einsum
-    without ``optimize`` runs numpy's own loop in a fixed order, whereas
-    ``C @ M`` goes to the BLAS ``gemm``, whose rounding depends on its thread
-    count.  Exact mode sums ``acc + h^sigma * c_sigma`` in monomial order.
-
-    A row of degree d >= 2 is h^parent * h_first over the pairs whose first
-    factor has degree >= d - 1, a cached suffix of the product table: the
-    degree is read from the outers' p-variable layout, the suffix from the
-    inners' layout.  h has an exact zero constant term, so for finite
-    coefficients h^parent is exactly zero below degree d - 1 and every
-    skipped pair adds a +-0 product; ``np.bincount`` adds the kept pairs in
-    the same order, so each coefficient has the bits of the whole-table sum.
+    Float mode stacks the outers' coefficients into one array and the
+    inners' h into another and hands both to ``_compose_rows``, the array
+    routine the float inversion uses too: it builds the monomial jets as the
+    rows of one array, each over the product-table pairs of
+    ``_tables.suffix_tables`` (no pair below the row's degree, none with the
+    constant monomial of h), and takes all outers in one contraction.  For
+    finite coefficients each result has the bits of the whole-table build.
+    Exact mode sums ``acc + h^sigma * c_sigma`` in monomial order on jets.
     """
     outers = list(outers)
     inners = list(inners)
@@ -578,13 +580,12 @@ def compose_many(outers, inners):
     inner_order = min(g.order for g in inners)
     orders = [min(o.order, inner_order) for o in outers]
     order = max(orders)
-    hs = [(g - g.value()).truncate(order) for g in inners]
-    first, parent = _tables.compose_plan(p, order)
-    n_rows = len(first)
 
     if exact:
-        monos = [None] * n_rows
-        for r in range(1, n_rows):
+        hs = [(g - g.value()).truncate(order) for g in inners]
+        first, parent = _tables.compose_plan(p, order)
+        monos = [None] * len(first)
+        for r in range(1, len(first)):
             h = hs[first[r]]
             monos[r] = h if parent[r] == 0 else monos[parent[r]] * h
         out = []
@@ -595,25 +596,42 @@ def compose_many(outers, inners):
             out.append(acc)
         return out
 
-    nvars = hs[0].nvars
+    nvars = inners[0].nvars
     n_cols = _tables.count(nvars, order)
-    suffixes = _tables.suffix_tables(nvars, order)
-    deg = _tables.degrees(p, order)
-    basis = np.zeros((n_rows, n_cols))
-    basis[0, 0] = 1.0
-    for r in range(1, n_rows):
-        h = hs[first[r]].coeffs
-        if parent[r] == 0:
-            basis[r] = h
-        else:
-            basis[r] = mul_table(basis[parent[r]], h, *suffixes[deg[r] - 1], n_cols)
-    stacked = np.zeros((len(outers), n_rows))
+    h = np.stack([g.coeffs[:n_cols] for g in inners])
+    h[:, 0] -= h[:, 0]  # g - g(0): +0.0 for a finite value
+    stacked = np.zeros((len(outers), _tables.count(p, order)))
     for i, (outer, k) in enumerate(zip(outers, orders)):
         m = _tables.count(p, k)
         stacked[i, :m] = outer.coeffs[:m]
-    res = np.einsum("km,mn->kn", stacked, basis)
-    return [hs[0]._new(row[: _tables.count(nvars, k)], k, False)
+    res = _compose_rows(stacked, h, nvars, order)
+    return [inners[0]._new(row[: _tables.count(nvars, k)], k, False)
             for row, k in zip(res, orders)]
+
+
+def _compose_rows(stacked, h, nvars, order):
+    """``stacked @ M`` for the monomial jets M[sigma] = h^sigma, on float arrays.
+
+    ``stacked`` is a C-contiguous (outers, count(p, order)) array of outer
+    coefficients in p variables; ``h`` holds p inner rows in the order-``order``
+    layout of ``nvars`` variables, each with a zero constant term.  Row sigma
+    of M is h^parent * h_first (``_tables.compose_plan``); for degree d >= 2
+    the product runs over ``_tables.suffix_tables(nvars, order)[d - 1]``.  The
+    product is the ``mul_table`` of this module, looked up at call time.
+    ``np.einsum`` without ``optimize`` sums in numpy's own fixed loop order.
+    """
+    first, parent = _tables.compose_plan(h.shape[0], order)
+    deg = _tables.degrees(h.shape[0], order)
+    suffixes = _tables.suffix_tables(nvars, order)
+    n_cols = h.shape[1]
+    basis = np.zeros((len(first), n_cols))
+    basis[0, 0] = 1.0
+    for r in range(1, len(first)):
+        if parent[r] == 0:
+            basis[r] = h[first[r]]
+        else:
+            basis[r] = mul_table(basis[parent[r]], h[first[r]], *suffixes[deg[r] - 1], n_cols)
+    return np.einsum("km,mn->kn", stacked, basis)
 
 
 def _linear_part_matrix(jets):
@@ -632,6 +650,7 @@ def invert_series(jets):
     Takes a sequence of p jets in p variables and returns the p jets of the
     inverse map centered at the image point, so
     ``compose_many(jets, invert_series(jets))`` is the identity through order K.
+    The p results share one basepoint tuple.
 
     Writing s(x) = b + L(x - a) + N(x - a) with N of order >= 2, the inverse
     t solves t = a + L^-1 (y - b - N(t - a)).  Starting from the affine t_1,
@@ -640,21 +659,68 @@ def invert_series(jets):
     coefficients and only the last pass works at full order (Griewank and
     Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  Exact-mode results
     equal those of K - 1 full-order passes.
+
+    Float mode runs the passes on one (p, ncoeff) float64 array and keeps the
+    bits of the jet-level passes that exact mode still runs: the affine step
+    adds ``rhs[j] * Linv[i, j]`` in j order onto rows holding a_i at slot 0
+    and a_i * 0 elsewhere, as a constant jet does; N is s with slots 0..p
+    zero, whose signs cannot reach a result; pass k zero-pads the order-(k-1)
+    rows and composes through ``_compose_rows``.  A non-finite coefficient of
+    the map raises ``DomainError`` before the linear part is inverted, and so
+    does an inverse that overflows, so no non-finite jet is returned.
     """
     jets = list(jets)
     p = len(jets)
     if any(g.nvars != p for g in jets):
         raise TypeError("need p jets in p variables")
     order = min(g.order for g in jets)
+    if order < 1:
+        raise OrderExhausted("inverting a jet map needs order >= 1")
     jets = [g.truncate(order) for g in jets]
-    exact = any(g.exact for g in jets)
+    if any(g.exact for g in jets):
+        return _invert_exact(jets, order)
+
+    s = np.stack([g.coeffs for g in jets])
+    if not np.isfinite(s).all():
+        raise DomainError(f"non-finite coefficient in a jet map with value {s[:, 0].tolist()}")
+    a = np.array(jets[0].basepoint, dtype=np.float64)
+    linv = _invert_matrix(s[:, 1:p + 1], False)  # monomial x_j sits at index 1 + j
+    n_part = s.copy()
+    n_part[:, :p + 1] = 0.0
+
+    def affine_step(rhs):
+        t = np.zeros(rhs.shape)
+        t[:, 0] = 1.0
+        t *= a[:, None]
+        for j in range(p):
+            t += linv[:, j, None] * rhs[j]
+        return t
+
+    # y - b is the identity; pass k zero-pads the order-(k-1) rows into h,
+    # whose slot 0 keeps +0.0: t - t(0) for a finite t
+    t = affine_step(np.eye(p, p + 1, 1))
+    for k in range(2, order + 1):
+        n_k = _tables.count(p, k)
+        h = np.zeros((p, n_k))
+        h[:, 1:t.shape[1]] = t[:, 1:]
+        n_of_t = _compose_rows(n_part[:, :n_k].copy(), h, p, k)
+        t = affine_step(np.eye(p, n_k, 1) - n_of_t)
+    if not np.isfinite(t).all():
+        raise DomainError("the inverse of the jet map overflows")
+    base = tuple(s[:, 0])
+    return [MultiJet(p, order, row, base, exact=False) for row in t]
+
+
+def _invert_exact(jets, order):
+    """``invert_series`` on jets: the growing-order passes of exact mode."""
+    p = len(jets)
     a = jets[0].basepoint
     b = tuple(g.value() for g in jets)
     lin = _linear_part_matrix(jets)
-    linv = _invert_matrix(lin, exact)
+    linv = _invert_matrix(lin, True)
 
     # target-space coordinate jets
-    ys = [MultiJet.variable(j, p, order, b, exact=exact) for j in range(p)]
+    ys = [MultiJet.variable(j, p, order, b, exact=True) for j in range(p)]
     y_shift = [ys[j] - b[j] for j in range(p)]
 
     def affine_step(rhs):
@@ -667,7 +733,7 @@ def invert_series(jets):
         return out
 
     # nonlinear parts N_i = s_i - b_i - L(x - a)
-    xs = [MultiJet.variable(j, p, order, a, exact=exact) for j in range(p)]
+    xs = [MultiJet.variable(j, p, order, a, exact=True) for j in range(p)]
     n_parts = []
     for i in range(p):
         lin_i = _const_like(xs[0], b[i] * 0)
@@ -679,21 +745,12 @@ def invert_series(jets):
     # with zeros, which cannot reach the order-k terms of N(t)
     t_cur = affine_step([y.truncate(1) for y in y_shift])
     for k in range(2, order + 1):
-        t_in = [_zero_padded(t, k) for t in t_cur]
+        n = _tables.count(p, k)
+        t_in = [t._new(t.coeffs + [_zero_like(t.coeffs[0])] * (n - len(t.coeffs)), k, True)
+                for t in t_cur]
         n_of_t = compose_many(n_parts, t_in)
         t_cur = affine_step([y_shift[j] - n_of_t[j] for j in range(p)])
     return t_cur
-
-
-def _zero_padded(jet, order):
-    """The same jet at a higher order, every new coefficient zero."""
-    n = _tables.count(jet.nvars, order)
-    if jet.exact:
-        coeffs = jet.coeffs + [_zero_like(jet.coeffs[0])] * (n - len(jet.coeffs))
-    else:
-        coeffs = np.zeros(n)
-        coeffs[: len(jet.coeffs)] = jet.coeffs
-    return jet._new(coeffs, order, jet.exact)
 
 
 def _invert_matrix(rows, exact):
@@ -703,7 +760,7 @@ def _invert_matrix(rows, exact):
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
             raise SingularLinearPart(f"relative smallest singular value {sv[-1]/max(sv[0],1e-300):.3e}")
-        return np.linalg.inv(mat).tolist()
+        return np.linalg.inv(mat)
     # exact Gauss-Jordan; pivots must be invertible (nonzero "real" part for
     # dual numbers), but elimination must clear every nonzero entry including
     # pure-epsilon ones

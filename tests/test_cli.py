@@ -385,6 +385,16 @@ class TestEquivalenceCommand:
         j2 = write(tmp_path, "b.job", PARABOLA.replace("depth = 1", "depth = 2"))
         assert main(["equivalence", "--job", j1, "--job2", j2]) == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        """A job against itself is at distance 0, which no tolerance may
+        call distinct or inconclusive, and inf would call anything equivalent."""
+        j1 = write(tmp_path, "a.job", PARABOLA)
+        assert main(["equivalence", "--job", j1, "--job2", j1, f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol")
+
 
 class TestSignatureCommand:
     def test_emits_json_cloud(self, tmp_path, capsys):
@@ -407,6 +417,16 @@ class TestSignatureCommand:
         code = main(["signature", "--job", path, "--out", str(tmp_path / "missing" / "c.json")])
         assert code == 2
         assert "error: cannot write" in capsys.readouterr().err
+
+    def test_infinite_speed_of_a_parametric_curve_is_degenerate(self, tmp_path, capsys):
+        """x = exp(exp(exp(t))) overflows in its derivatives before its value,
+        so the linear part of the map inverted to re-graph the curve is inf."""
+        text = PARABOLA.replace("window = 1:2", "window = 1.8808:1.8816").replace(
+            "samples = 4", "samples = 6").replace("  y = x^2", "  x = exp(exp(exp(t)))\n  y = t")
+        code = main(["signature", "--job", write(tmp_path, "tower.job", text)])
+        assert code in (0, 3)
+        if code == 3:
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCheckCommand:

@@ -14,6 +14,7 @@ from sympinv.errors import (
     BasepointMismatch,
     DivisionByZeroJet,
     DomainError,
+    GeometryError,
     JetError,
     OrderExhausted,
     SingularLinearPart,
@@ -333,8 +334,8 @@ def per_outer_compose(outer, inners):
     return acc
 
 
-def fixed_point_inverse(maps):
-    """Inverse jet map by K - 1 fixed-point passes, each at full order."""
+def jet_level_passes(maps):
+    """(order, affine step, y - b, nonlinear parts) of an inversion, on jets."""
     p = len(maps)
     order = min(g.order for g in maps)
     maps = [g.truncate(order) for g in maps]
@@ -362,11 +363,29 @@ def fixed_point_inverse(maps):
         for j in range(p):
             lin_i = lin_i + (xs[j] - a[j]) * lin[i][j]
         n_parts.append(maps[i] - b[i] - lin_i)
+    return order, affine_step, y_shift, n_parts
 
+
+def fixed_point_inverse(maps):
+    """Inverse jet map by K - 1 fixed-point passes, each at full order."""
+    order, affine_step, y_shift, n_parts = jet_level_passes(maps)
     t_cur = affine_step(y_shift)
     for _ in range(max(order - 1, 0)):
-        n_of_t = [per_outer_compose(n_parts[i], t_cur) for i in range(p)]
-        t_cur = affine_step([y_shift[j] - n_of_t[j] for j in range(p)])
+        n_of_t = [per_outer_compose(n, t_cur) for n in n_parts]
+        t_cur = affine_step([y - n for y, n in zip(y_shift, n_of_t)])
+    return t_cur
+
+
+def jet_level_float_inverse(maps):
+    """Float ``invert_series`` as it ran on jets: growing-order passes whose
+    compose builds every monomial jet over the whole product table."""
+    order, affine_step, y_shift, n_parts = jet_level_passes(maps)
+    t_cur = affine_step([y.truncate(1) for y in y_shift])
+    for k in range(2, order + 1):
+        pad = np.zeros(_tables.count(len(maps), k) - len(t_cur[0].coeffs))
+        t_in = [t._new(np.concatenate([t.coeffs, pad]), k, False) for t in t_cur]
+        n_of_t = [t_in[0]._new(row, k, False) for row in full_table_compose_many(n_parts, t_in)]
+        t_cur = affine_step([y - n for y, n in zip(y_shift, n_of_t)])
     return t_cur
 
 
@@ -657,6 +676,61 @@ class TestDegreeSuffixRows:
             assert got.coeffs == per_outer_compose(outer, inners).coeffs
 
 
+def signed_zero_map(rng, p, order, share):
+    """A random map at a negative basepoint with a negated linear part, some
+    off-diagonal linear coefficients and ``share`` of the higher ones set to
+    -0.0 or +0.0: zeros whose signs the float passes must reproduce."""
+    maps = random_map(rng, p, order)
+    base = tuple(-abs(c) for c in maps[0].basepoint)
+    out = []
+    for i, g in enumerate(maps):
+        coeffs = g.coeffs.copy()
+        coeffs[1:p + 1] *= -1
+        for j in range(p):
+            if j != i and rng.random() < 0.5:
+                coeffs[1 + j] = rng.choice([-0.0, 0.0])
+        higher = np.arange(p + 1, len(coeffs))
+        for pos in rng.choice(higher, size=int(share * len(higher)), replace=False):
+            coeffs[pos] = rng.choice([-0.0, 0.0])
+        out.append(MultiJet(p, order, coeffs, base))
+    return out
+
+
+class TestArrayInversion:
+    """The float inversion on coefficient arrays against the jet-level passes."""
+
+    @pytest.mark.parametrize("p", range(1, 6))
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_bits_equal_the_jet_level_passes(self, p, order):
+        rng = np.random.default_rng(900 + 10 * p + order)
+        for maps in (random_map(rng, p, order), signed_zero_map(rng, p, order, 1 / 3),
+                     signed_zero_map(rng, p, order, 1)):
+            got = invert_series(maps)
+            want = jet_level_float_inverse(maps)
+            assert len(got) == p
+            for g, w in zip(got, want):
+                assert g.order == w.order == order
+                assert g.basepoint is got[0].basepoint
+                assert g.basepoint == w.basepoint
+                assert g.coeffs.tobytes() == w.coeffs.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["value", "linear", "higher"])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_non_finite_coefficients_raise(self, bad, where, p):
+        maps = random_map(np.random.default_rng(17), p, 4)
+        slot = {"value": 0, "linear": p, "higher": _tables.count(p, 4) - 2}[where]
+        maps[-1].coeffs[slot] = bad
+        with pytest.raises((JetError, GeometryError)):
+            invert_series(maps)
+
+    def test_an_overflowing_inverse_raises(self):
+        (tiny,) = random_map(np.random.default_rng(18), 1, 3)
+        tiny.coeffs[1] = 1e-200  # the inverse's linear coefficient is 1e200
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflow"):
+            invert_series([tiny])
+
+
 class TestInversionWork:
     """Deterministic work counts of one inversion: no timing involved."""
 
@@ -676,11 +750,13 @@ class TestInversionWork:
         # each at order k, and shares them among the 5 outer jets (composing
         # each outer on its own took 5 times as many: 4435 calls and
         # 22,628,980 madds); a row of degree d only takes the pairs whose
-        # first factor has degree >= d - 1 (the whole table took 4,525,796)
+        # first factor has degree >= d - 1 and whose second factor is not
+        # the constant monomial (the whole table took 4,525,796 and the
+        # degree suffix with its constant-partner pairs 1,486,732)
         assert new_calls == sum(_tables.count(5, k) - 6 for k in range(2, 7)) == 887
         assert new_madds == sum(len(_tables.suffix_tables(5, k)[d - 1][0])
                                 for k in range(2, 7)
-                                for d in _tables.degrees(5, k) if d >= 2) == 1486732
+                                for d in _tables.degrees(5, k) if d >= 2) == 1241730
         calls.clear()
         fixed_point_inverse(maps)
         assert len(calls) == 5 * 5 * (_tables.count(5, 6) - 6) == 11400

@@ -110,14 +110,15 @@ def test_keys_that_overflow_int64_are_refused():
 
 @pytest.mark.parametrize("nvars,order", [(1, 7), (2, 6), (3, 5), (5, 6), (8, 3)])
 def test_suffix_tables_start_at_each_degree(nvars, order):
+    """Entry d holds the pairs with deg_i >= d and pj > 0, in table order,
+    as tails of one array."""
     pi, pj, pr = _tables.product_table(nvars, order)
     deg = np.array(_tables.degrees(nvars, order))
     suffixes = _tables.suffix_tables(nvars, order)
     assert len(suffixes) == order + 1
     for d, views in enumerate(suffixes):
-        keep = deg[pi] >= d
-        start = len(pi) - int(keep.sum())
-        assert not keep[:start].any()
-        for view, full in zip(views, (pi, pj, pr)):
-            assert np.shares_memory(view, full)
-            assert np.array_equal(view, full[start:])
+        keep = (deg[pi] >= d) & (pj > 0)
+        for view, full, whole in zip(views, (pi, pj, pr), suffixes[0]):
+            assert np.array_equal(view, full[keep])
+            assert len(view) == 0 or np.shares_memory(view, whole)
+            assert np.array_equal(view, whole[len(whole) - len(view):])
