@@ -10,10 +10,10 @@ are i-major, so the pairs whose first factor has degree >= d form a suffix.
 pairs whose second factor is the constant monomial (pj == 0), for the
 monomial jets of a composition: their right factor h = g - g(0) has an exact
 zero constant term, so those pairs add +-0 when its coefficients are finite.
-The reciprocal plan
-regroups the pairs with a non-constant first factor by the degree of their
-target, for the graded reciprocal.  The compose plan gives each monomial's
-parent in the recursion that builds the monomial jets of a composition.
+The reciprocal plan regroups the pairs with a non-constant first factor by
+the degree of their target, for the graded reciprocal.  The compose plan
+gives each monomial's parent in the recursion that builds the monomial jets
+of a composition.
 
 The product and partial tables are built with numpy: the target slot of an
 exponent sum is found through mixed-radix monomial keys (base order + 1, so a

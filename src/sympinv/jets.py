@@ -664,8 +664,9 @@ def invert_series(jets):
     bits of the jet-level passes that exact mode still runs: the affine step
     adds ``rhs[j] * Linv[i, j]`` in j order onto rows holding a_i at slot 0
     and a_i * 0 elsewhere, as a constant jet does; N is s with slots 0..p
-    zero, whose signs cannot reach a result; pass k zero-pads the order-(k-1)
-    rows and composes through ``_compose_rows``.  A non-finite coefficient of
+    set to +0.0 (the jet-level N may hold -0.0 there, but y - N(t) gives the
+    same bits for either zero); pass k zero-pads the order-(k-1) rows and
+    composes through ``_compose_rows``.  A non-finite coefficient of
     the map raises ``DomainError`` before the linear part is inverted, and so
     does an inverse that overflows, so no non-finite jet is returned.
     """
@@ -674,8 +675,6 @@ def invert_series(jets):
     if any(g.nvars != p for g in jets):
         raise TypeError("need p jets in p variables")
     order = min(g.order for g in jets)
-    if order < 1:
-        raise OrderExhausted("inverting a jet map needs order >= 1")
     jets = [g.truncate(order) for g in jets]
     if any(g.exact for g in jets):
         return _invert_exact(jets, order)
