@@ -370,15 +370,6 @@ def to_text(ast):
 
 # --- evaluation --------------------------------------------------------------
 
-def _wants_exact(env):
-    for v in env.values():
-        if isinstance(v, Fraction):
-            return True
-        if isinstance(v, jets.MultiJet) and v.exact:
-            return True
-    return False
-
-
 def _eval_node(node, env, exact):
     if isinstance(node, Num):
         return node.value if exact else float(node.value)
@@ -426,7 +417,7 @@ def evaluate(ast, env):
     A value beyond the float range (``exp(800)``, ``2^2000``) raises
     DomainError, so a caller treats it as it treats any other domain error.
     """
-    exact = _wants_exact(env)
+    exact = jets._is_exact(env.values())
     for name in ast.free_vars:
         if name not in env:
             raise UnboundVariable(f"unbound variable {name!r}")

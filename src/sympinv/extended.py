@@ -141,38 +141,6 @@ def acsp_function_invariants(point):
     return gens, ders
 
 
-def acsp_generator_independence(point, fd_step=1e-6):
-    """Measured independence of the affine-conformal generators and their
-    first derived invariants; the relations are not known in closed form, so
-    we report (count, Jacobian rank over the jet fiber through order 4)."""
-    import numpy as np
-
-    def evaluate(q):
-        gens, ders = acsp_function_invariants(q)
-        out = [gens["I0"], gens["I3app"], gens["I3bpp"]]
-        for dn in ("d1pp", "d2pp"):
-            for g in ("I3app", "I3bpp"):
-                out.append(ders[dn](gens[g]))
-        return [float(_const(v)) for v in out]
-
-    rows = []
-    for name, sigma in point.fiber_coordinates(min_order=0, max_order=4):
-        up = evaluate(point.perturb(name, sigma, fd_step))
-        dn = evaluate(point.perturb(name, sigma, -fd_step))
-        rows.append([(a - b) / (2 * fd_step) for a, b in zip(up, dn)])
-    mat = np.asarray(rows).T
-    scale = np.max(np.abs(mat), axis=1, keepdims=True)
-    scale[scale == 0] = 1.0
-    sv = np.linalg.svd(mat / scale, compute_uv=False)
-    rank = int(np.sum(sv > 1e-6 * sv[0]))
-    return mat.shape[0], rank
-
-
-def _const(x):
-    v = x.value() if hasattr(x, "value") else x
-    return getattr(v, "re", v)
-
-
 # --- curves ----------------------------------------------------------------------
 
 def _plane_curve_data(point):

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DegenerateJet, FrameDegeneracy
 from .geometry import Derivation
 from .jetlinalg import magnitude
+from .jets import _const_float, _matvec, _sum
 
 
 def _coordinate_jets(point):
@@ -56,12 +57,8 @@ def q2_matrix(point):
 
 def q2_form(q2, d1, d2):
     """Contract the quadratic form with two derivations."""
-    acc = None
-    for i, a in enumerate(d1.coeffs):
-        for j, b in enumerate(d2.coeffs):
-            term = q2[i][j] * a * b
-            acc = term if acc is None else acc + term
-    return acc
+    return _sum(q2[i][j] * a * b for i, a in enumerate(d1.coeffs)
+                for j, b in enumerate(d2.coeffs))
 
 
 def qk_form(point, derivations_tuple):
@@ -74,11 +71,7 @@ def qk_form(point, derivations_tuple):
         if not remaining:
             return jet
         d = remaining[0]
-        acc = None
-        for i in range(p):
-            term = rec(jet.partial(i), remaining[1:]) * d.coeffs[i]
-            acc = term if acc is None else acc + term
-        return acc
+        return _sum(rec(jet.partial(i), remaining[1:]) * d.coeffs[i] for i in range(p))
 
     return rec(u, list(derivations_tuple))
 
@@ -86,29 +79,10 @@ def qk_form(point, derivations_tuple):
 def endomorphism_apply(point, derivation):
     """A(nabla) for A = omega^{-1} Q2, in the orientation fixed by the n=1
     coordinate formulas (A nabla_2 expands with +I2c/I1 on nabla_1)."""
-    q2 = q2_matrix(point)
-    space = point.chart.space
-    j = space.omega_matrix()
-    p = point.chart.n_independent
     w = derivation.coeffs
     # (Q2 w)_a then raise with J: out = J . (Q2 w)
-    q2w = []
-    for a in range(p):
-        acc = None
-        for b in range(p):
-            term = q2[a][b] * w[b]
-            acc = term if acc is None else acc + term
-        q2w.append(acc)
-    out = []
-    for a in range(p):
-        acc = None
-        for b in range(p):
-            if j[a, b] == 0.0:
-                continue
-            term = q2w[b] * j[a, b]
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else q2w[0] * 0.0)
-    return Derivation(tuple(out))
+    q2w = [_sum(h * x for h, x in zip(row, w)) for row in q2_matrix(point)]
+    return Derivation(tuple(_matvec(point.chart.space.omega_matrix(), q2w)))
 
 
 # --- n = 1 -------------------------------------------------------------------
@@ -158,17 +132,12 @@ def derivations_general(point):
     for _ in range(2 * n - 2):
         cur = endomorphism_apply(point, cur)
         out.append(cur)
-    mat = np.array([[float(_const_of(c)) for c in d.coeffs] for d in out])
+    mat = np.array([[_const_float(c) for c in d.coeffs] for d in out])
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv[-1] <= 1e-9 * max(sv[0], 1e-300):
         raise FrameDegeneracy(
             f"derivation frame rank-deficient (relative sv {sv[-1]/max(sv[0],1e-300):.2e})")
     return out
-
-
-def _const_of(jet):
-    c = jet.value() if hasattr(jet, "value") else jet
-    return getattr(c, "re", c)
 
 
 def generators_general(point):
@@ -183,34 +152,6 @@ def generators_general(point):
                 continue
             gens[f"I{i}{j}"] = q2_form(q2, ders[i - 1], ders[j - 1])
     return gens, ders
-
-
-def generator_independence(point, fd_step=1e-6):
-    """Measured independence of the listed general-n generators.
-
-    The relations among the generators are not pinned down in closed form for
-    n > 1, so we report the numeric count: (number of listed generators,
-    their Jacobian rank over the jet fiber through second order).  Rank equal
-    to the count means no relation at this order.
-    """
-    gens, _ = generators_general(point)
-    names = list(gens.keys())
-
-    def evaluate(q):
-        g, _ = generators_general(q)
-        return [float(_const_of(g[k])) for k in names]
-
-    rows = []
-    for name, sigma in point.fiber_coordinates(min_order=0, max_order=2):
-        up = evaluate(point.perturb(name, sigma, fd_step))
-        dn = evaluate(point.perturb(name, sigma, -fd_step))
-        rows.append([(a - b) / (2 * fd_step) for a, b in zip(up, dn)])
-    mat = np.asarray(rows).T
-    scale = np.max(np.abs(mat), axis=1, keepdims=True)
-    scale[scale == 0] = 1.0
-    sv = np.linalg.svd(mat / scale, compute_uv=False)
-    rank = int(np.sum(sv > 1e-6 * sv[0]))
-    return len(names), rank
 
 
 def expansion_defect_a_nabla2(point):

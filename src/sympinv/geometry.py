@@ -9,7 +9,6 @@ so invariant derivations reduce to coefficient-weighted partial derivatives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import _tables
 from .errors import GraphDegeneracy, SingularLinearPart
-from .jets import MultiJet, compose_many, invert_series
+from .jets import MultiJet, _factorial_multi, _sum, compose_many, invert_series
 from .symplectic import ContactSpace, SymplecticSpace
 
 
@@ -213,37 +212,22 @@ class JetPoint:
         return out
 
     def perturb(self, name, sigma, h):
-        """Bump one jet-fiber coordinate (a partial derivative) by h."""
-        fac = 1
-        for e in sigma:
-            fac *= math.factorial(e)
+        """Bump one jet-fiber coordinate (a partial derivative) by h.
+
+        A float step h gives a finite-difference neighbour.  On an exact
+        point, h = ``Dual(0, 1)`` adds a dual epsilon, so downstream
+        eps-components are exact derivatives along that coordinate.
+        """
         jets = dict(self.jets)
         jet = jets[name]
-        coeffs = np.array(jet.coeffs, dtype=np.float64)
-        coeffs[_tables.index_of(jet.nvars, jet.order)[tuple(sigma)]] += h / fac
-        jets[name] = MultiJet(jet.nvars, jet.order, coeffs, jet.basepoint)
+        coeffs = list(jet.coeffs) if jet.exact else jet.coeffs.copy()
+        pos = _tables.index_of(jet.nvars, jet.order)[tuple(sigma)]
+        coeffs[pos] = coeffs[pos] + h / _factorial_multi(sigma)
+        jets[name] = MultiJet(jet.nvars, jet.order, coeffs, jet.basepoint, exact=jet.exact)
         return JetPoint(self.chart, self.basepoint, jets, self.order, self.exact)
 
     def jet_coordinate(self, name, sigma):
         return self.jets[name].partial_at(sigma)
-
-    def perturb_exact(self, name, sigma):
-        """Exact-mode variant of perturb: adds a dual epsilon to one jet-fiber
-        coordinate, so downstream eps-components are exact derivatives."""
-        from .rational import Dual
-
-        if not self.exact:
-            raise ValueError("perturb_exact requires an exact-mode point")
-        fac = 1
-        for e in sigma:
-            fac *= math.factorial(e)
-        jets = dict(self.jets)
-        jet = jets[name]
-        coeffs = list(jet.coeffs)
-        pos = _tables.index_of(jet.nvars, jet.order)[tuple(sigma)]
-        coeffs[pos] = coeffs[pos] + Dual(0, Fraction(1, fac))
-        jets[name] = MultiJet(jet.nvars, jet.order, coeffs, jet.basepoint, exact=True)
-        return JetPoint(self.chart, self.basepoint, jets, self.order, True)
 
 
 def _independent_env(chart, at, order, exact):
@@ -272,11 +256,7 @@ class Derivation:
     coeffs: tuple  # jets along the submanifold, one per independent variable
 
     def __call__(self, f):
-        acc = None
-        for i, a in enumerate(self.coeffs):
-            term = a * f.partial(i)
-            acc = term if acc is None else acc + term
-        return acc
+        return _sum(self.summands(f))
 
     def commutator(self, other):
         new_coeffs = tuple(self(b) - other(a)
@@ -313,7 +293,7 @@ def _term_values(term):
 
 
 def _sums(rows):
-    return [sum(col[1:], col[0]) for col in zip(*rows)]
+    return [_sum(col) for col in zip(*rows)]
 
 
 def relation_values(terms):

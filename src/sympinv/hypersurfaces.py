@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DegenerateJet, StepDegenerate
 from .geometry import Derivation
 from .jetlinalg import _PivotFailure, is_negligible, kernel_vector, magnitude, solve
-from .jets import divide_all
+from .jets import _const_float, _one_like, _sum, divide_all
 
 
 class HyperFrame:
@@ -40,22 +40,12 @@ def _data(point):
 def normalization_denominator(point):
     """delta = dq(v0) = sum x_a u_a - u for the defining function q = -u + u(x)."""
     u, coords, du, _ = _data(point)
-    acc = None
-    for c, d in zip(coords, du):
-        term = c * d
-        acc = term if acc is None else acc + term
-    return acc - u
+    return _sum(c * d for c, d in zip(coords, du)) - u
 
 
 def _embed(w, du):
     """Ambient components of a tangent vector given in the D_a basis."""
-    amb = list(w)
-    ucomp = None
-    for a, coeff in enumerate(w):
-        term = coeff * du[a]
-        ucomp = term if ucomp is None else ucomp + term
-    amb.append(ucomp)
-    return amb
+    return list(w) + [_sum(coeff * du[a] for a, coeff in enumerate(w))]
 
 
 def canonical_frame(point):
@@ -73,22 +63,11 @@ def canonical_frame(point):
 
     def h_apply(w):
         """H w: computed once per vector, it leaves p products per Q value."""
-        out = []
-        for row in hess:
-            acc = None
-            for h, x in zip(row, w):
-                term = h * x
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        return [_sum(h * x for h, x in zip(row, w)) for row in hess]
 
     def q_with(w1, hw2):
         """Q(w1, w2) = w1 . H w2 / delta, given hw2 = H w2."""
-        acc = None
-        for x, y in zip(w1, hw2):
-            term = x * y
-            acc = term if acc is None else acc + term
-        return acc * inv_delta
+        return _sum(x * y for x, y in zip(w1, hw2)) * inv_delta
 
     def q_form(w1, w2):
         return q_with(w1, h_apply(w2))
@@ -104,7 +83,7 @@ def canonical_frame(point):
     def omega_with_v0(w):
         return space.omega(v0_amb, _embed(w, du))
 
-    one = 1.0 if not point.exact else __import__("fractions").Fraction(1)
+    one = _one_like(u.value())
     zero = one * 0
     working = [[one if j == i else zero for j in range(p)] for i in range(p)]
     v = [None] * (p + 1)
@@ -160,11 +139,8 @@ def canonical_frame(point):
 
 
 def _combine(coeffs, basis):
-    out = None
-    for c, w in zip(coeffs, basis):
-        term = [c * x for x in w]
-        out = term if out is None else [a + b for a, b in zip(out, term)]
-    return out
+    terms = [[c * x for x in w] for c, w in zip(coeffs, basis)]
+    return [_sum(col) for col in zip(*terms)]
 
 
 def _reduce_space(working, rho, step):
@@ -187,13 +163,8 @@ def derivations(frame):
 def gram_matrix_values(frame):
     p = len(frame.vectors) - 1
     q = frame._q_form
-    return np.array([[float(_val(q(frame.vectors[i], frame.vectors[j])))
+    return np.array([[_const_float(q(frame.vectors[i], frame.vectors[j]))
                       for j in range(1, p + 1)] for i in range(1, p + 1)])
-
-
-def _val(x):
-    v = x.value() if hasattr(x, "value") else x
-    return getattr(v, "re", v)
 
 
 def expected_gram_pattern(frame):
@@ -202,7 +173,7 @@ def expected_gram_pattern(frame):
     p = len(frame.vectors) - 1
     out = np.zeros((p, p))
     for i in range(1, p + 1):
-        out[i - 1, i - 1] = float(_val(frame.invariants[f"I2_{i}"]))
+        out[i - 1, i - 1] = _const_float(frame.invariants[f"I2_{i}"])
     r = 1
     while 2 * r <= p:
         out[2 * r - 2, 2 * r - 1] = 1.0
@@ -216,9 +187,9 @@ def omega_identity_defect(frame):
     point = frame.point
     space = point.chart.space
     du = frame._du
-    amb = [np.array([float(_val(c)) for c in _ambient(point, frame, 0)])]
+    amb = [np.array([_const_float(c) for c in _ambient(point, frame, 0)])]
     for i in range(1, len(frame.vectors)):
-        amb.append(np.array([float(_val(c)) for c in _embed(frame.vectors[i], du)]))
+        amb.append(np.array([_const_float(c) for c in _embed(frame.vectors[i], du)]))
     dim = space.dim
     biv = np.zeros((dim, dim))
     r = 0
@@ -286,14 +257,14 @@ def rescale_residual(point, f_value, f_gradient):
     qp_mat = np.zeros((p, p))
     for a in range(p):
         for b in range(p):
-            base = float(_val(hess[a][b]))
-            q_mat[a, b] = base / float(_val(delta))
+            base = _const_float(hess[a][b])
+            q_mat[a, b] = base / _const_float(delta)
             # tangent vectors D_a have ambient components e_a + u_a e_u
-            dq_a = float(_val(dq[a])) + float(_val(du[a])) * dq[p]
-            dq_b = float(_val(dq[b])) + float(_val(du[b])) * dq[p]
-            df_a = fg[a] + float(_val(du[a])) * fg[p]
-            df_b = fg[b] + float(_val(du[b])) * fg[p]
+            dq_a = _const_float(dq[a]) + _const_float(du[a]) * dq[p]
+            dq_b = _const_float(dq[b]) + _const_float(du[b]) * dq[p]
+            df_a = fg[a] + _const_float(du[a]) * fg[p]
+            df_b = fg[b] + _const_float(du[b]) * fg[p]
             num = f_value * base + df_a * dq_b + df_b * dq_a
-            qp_mat[a, b] = num / (f_value * float(_val(delta)))
+            qp_mat[a, b] = num / (f_value * _const_float(delta))
     scale = max(np.max(np.abs(q_mat)), 1e-30)
     return float(np.max(np.abs(q_mat - qp_mat))) / scale

@@ -7,34 +7,22 @@ pivoting decisions look only at constant terms.  Callers translate the raised
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .jets import _const_like, divide_all
+from .jets import _const_float, _is_exact, _is_jet, _one_like, divide_all
 
 
 class _PivotFailure(Exception):
     pass
 
 
-def _const(x):
-    if hasattr(x, "value"):
-        return x.value()
-    return x
-
-
 def magnitude(x):
     """Float size of the constant part, used to rank pivots."""
-    c = _const(x)
-    re = getattr(c, "re", c)
-    return abs(float(re))
+    return abs(_const_float(x))
 
 
 def is_negligible(x, scale=1.0, tol=1e-10):
-    c = _const(x)
-    if isinstance(c, Fraction) or hasattr(c, "re"):
-        re = getattr(c, "re", c)
-        return re == 0
-    return abs(float(c)) <= tol * max(scale, 1e-30)
+    if _is_exact([x]):
+        return _const_float(x) == 0
+    return abs(_const_float(x)) <= tol * max(scale, 1e-30)
 
 
 def _row_reduce(a, ncols, tol):
@@ -92,7 +80,7 @@ def kernel_vector(rows, tol=1e-10):
         raise _PivotFailure("matrix has full rank; no kernel vector")
     f0 = free[0]
     vec = [None] * n
-    one = _unit_like(rows)
+    one = _one_like(next((e for r in rows for e in r if _is_jet(e)), 1.0))
     zero = one * 0
     for c in range(n):
         vec[c] = one if c == f0 else zero
@@ -107,7 +95,7 @@ def nullspace_basis(rows, ncols, tol=1e-10):
     piv_cols = _row_reduce(a, ncols, tol)
     if len(piv_cols) < len(rows):
         raise _PivotFailure("covector system is rank-deficient")
-    one = _unit_like(rows)
+    one = _one_like(next((e for r in rows for e in r if _is_jet(e)), 1.0))
     zero = one * 0
     basis = []
     for free in range(ncols):
@@ -119,19 +107,3 @@ def nullspace_basis(rows, ncols, tol=1e-10):
             vec[c] = -a[r][free] * one
         basis.append(vec)
     return basis
-
-
-def _unit_like(rows):
-    for r in rows:
-        for e in r:
-            if hasattr(e, "value"):
-                return _const_like(e, _one_scalar(e.value()))
-    return 1.0
-
-
-def _one_scalar(c):
-    if isinstance(c, Fraction):
-        return Fraction(1)
-    if hasattr(c, "re"):
-        return c * 0 + 1
-    return 1.0

@@ -44,10 +44,23 @@ adds +-0, so every coefficient keeps the bits of the whole-table product.
 ``invert_series`` runs its growing-order passes on one (p, ncoeff) float64
 array and builds the p result jets once at the end; exact mode keeps the
 jet-level passes, which are the oracle of the float arithmetic.
+
+The frames do linear algebra over one ring of scalars (floats, fractions,
+duals or jets of either mode), and this module keeps the helpers they share:
+``_sum`` (a left-to-right sum), ``_matvec`` (a float matrix times a vector of
+scalars, skipping zero entries), ``_const_float`` (the float of a constant
+term, the real part of a dual), ``_one_like`` (the ring's one) and
+``_is_exact``.  A sum is seeded with its first term, never with 0, because
+``0.0 + (-0.0)`` is ``+0.0``; and every product keeps its operand order,
+because a jet product sums its pairs in table order.  The helpers are
+private: the benchmark's tracer wraps every public function of the frame
+modules that import them.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +74,7 @@ from .errors import (
     SingularLinearPart,
 )
 from .kernels import mul_table
+from .rational import Dual
 
 _DIV_FLOOR = 1e-300  # constant terms below this are machine-degenerate divisors
 
@@ -333,11 +347,44 @@ def _scalar_reciprocal(x, exact):
 
 
 def _one_like(x):
+    """The one of x's ring: a constant jet for a jet, 1.0 for a plain number."""
+    if isinstance(x, MultiJet):
+        return _const_like(x, _one_like(x.coeffs[0]))
     if isinstance(x, Fraction):
         return Fraction(1)
     if _is_plain_number(x):
         return 1.0
     return x * 0 + 1
+
+
+def _sum(terms):
+    """terms[0] + terms[1] + ... from the left, seeded with the first term."""
+    return functools.reduce(operator.add, terms)
+
+
+def _matvec(matrix, vec):
+    """``matrix @ vec`` for a float matrix and a vector of scalars or jets.
+
+    Each row sums ``vec[j] * m`` over its nonzero entries m in column order;
+    a row without one gives ``vec[0] * 0.0``.
+    """
+    out = []
+    for row in matrix:
+        terms = [x * m for x, m in zip(vec, row) if m != 0.0]
+        out.append(_sum(terms) if terms else vec[0] * 0.0)
+    return out
+
+
+def _const_float(x):
+    """The float of the constant term of a scalar or jet; a dual gives its real part."""
+    c = x.coeffs[0] if isinstance(x, MultiJet) else x
+    return float(getattr(c, "re", c))
+
+
+def _is_exact(values):
+    """Whether any value is exact: a Fraction, a Dual or an exact-mode jet."""
+    return any(isinstance(v, (Fraction, Dual)) or (isinstance(v, MultiJet) and v.exact)
+               for v in values)
 
 
 def divide_all(values, divisor):
@@ -370,7 +417,7 @@ def _jet_pow(x, expo):
         expo = int(expo)
         if expo < 0:
             return x.reciprocal() ** (-expo)
-        res = _const_like(x, _one_like(x.coeffs[0]))
+        res = _one_like(x)
         base = x
         while expo:
             if expo & 1:
@@ -525,16 +572,7 @@ def sqrt(x):
 
 def cbrt(x):
     if _is_jet(x):
-        c0 = x.coeffs[0]
-        if x.exact:
-            lead = _nth_root_scalar(c0, 3, True)
-        else:
-            if abs(float(c0)) < _DIV_FLOOR:
-                raise DomainError("cbrt of a jet with zero constant term")
-            lead = _nth_root_scalar(float(c0), 3, False)
-        h = x / c0 - 1
-        coeffs = _binomial_coeffs(Fraction(1, 3), x.order, x.exact)
-        return _horner(h, coeffs) * lead
+        return _binomial_series(x, Fraction(1, 3))
     if isinstance(x, Fraction):
         return _nth_root_scalar(x, 3, True)
     return _nth_root_scalar(float(x), 3, False)
@@ -562,11 +600,15 @@ def compose_many(outers, inners):
     constant monomial of h), and takes all outers in one contraction.  For
     finite coefficients each result has the bits of the whole-table build.
     Exact mode sums ``acc + h^sigma * c_sigma`` in monomial order on jets.
+    A non-finite float inner value raises ``DomainError``: the basepoint
+    tolerance check alone passes an infinite one (``inf <= inf``).
     """
     outers = list(outers)
     inners = list(inners)
     p = len(inners)
     exact = any(o.exact for o in outers) or any(g.exact for g in inners)
+    if not exact and not all(math.isfinite(g.value()) for g in inners):
+        raise DomainError(f"non-finite inner value {[g.value() for g in inners]!r}")
     for outer in outers:
         if outer.nvars != p:
             raise TypeError(f"outer expects {outer.nvars} inner jets, got {p}")

@@ -16,6 +16,7 @@ import numpy as np
 from . import _tables
 from .errors import NonGenericSample
 from .geometry import CHARTS, JetPoint
+from .jets import _const_float
 from .symplectic import algebra_basis, contact_algebra_basis
 
 
@@ -43,7 +44,7 @@ def prolonged_row(field, point, k):
     chart = point.chart
     p = chart.n_independent
     a_jets, phi = generating_functions(field, point)
-    row = [_value_of(a) for a in a_jets]
+    row = [_const_float(a) for a in a_jets]
     for name in chart.dependent:
         phi_jet = phi[name]
         ujet = point.jets[name]
@@ -51,13 +52,9 @@ def prolonged_row(field, point, k):
             comp = _partial_value(phi_jet, sigma)
             for i in range(p):
                 up = tuple(e + (1 if j == i else 0) for j, e in enumerate(sigma))
-                comp += _value_of(a_jets[i]) * point.jet_coordinate(name, up)
+                comp += _const_float(a_jets[i]) * point.jet_coordinate(name, up)
             row.append(comp)
     return row
-
-
-def _value_of(x):
-    return float(x.value()) if hasattr(x, "value") else float(x)
 
 
 def _partial_value(jet, sigma):

@@ -27,7 +27,7 @@ from .errors import (AllSamplesDegenerate, GeometryError, IncomparableClouds, Je
 from .exprs import evaluate
 from .geometry import (CHARTS, JetPoint, apply_word, default_order, parametric_curve_point,
                        pushforward, relation_residual, relation_values)
-from .jets import MultiJet
+from .jets import MultiJet, _const_float
 from .symplectic import random_contact_lift, random_group_element
 
 
@@ -213,14 +213,14 @@ def invariance_sweep(geometry, flavor, n, jets, rng, element_seeds, order, sprea
     for _ in range(200 * jets):
         point = JetPoint.random(chart, order, rng, spread=spread)
         try:
-            base = {k: _as_float(v) for k, v in ev(point)[0].items()}
+            base = {k: _const_float(v) for k, v in ev(point)[0].items()}
         except (GeometryError, JetError, ZeroDivisionError):
             continue
         generic += 1
         for g in elements:
             try:
                 moved = pushforward(point, g)
-                values = {k: _as_float(v) for k, v in ev(moved)[0].items()}
+                values = {k: _const_float(v) for k, v in ev(moved)[0].items()}
             except (GeometryError, JetError, ZeroDivisionError):
                 yield None
                 continue
@@ -266,18 +266,13 @@ def psi_values(point, geometry, flavor, n, depth):
     ev = generator_map(geometry, flavor, n)
     gens, ders = ev(point)
     gen_names = list(gens.keys())
-    out = [_as_float(gens[g]) for g in gen_names]
+    out = [_const_float(gens[g]) for g in gen_names]
     for d in range(1, depth + 1):
         for word in itertools.product(range(len(ders)), repeat=d):
             for g in gen_names:
                 jet = apply_word(ders, word, gens[g])
-                out.append(_as_float(jet))
+                out.append(_const_float(jet))
     return out
-
-
-def _as_float(x):
-    v = x.value() if hasattr(x, "value") else x
-    return float(getattr(v, "re", v))
 
 
 # --- sampling ---------------------------------------------------------------------

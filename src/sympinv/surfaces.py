@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import DegenerateQ1, LagrangianTangent, SigmaDegenerate
 from .geometry import Derivation
 from .jetlinalg import _PivotFailure, is_negligible, magnitude, nullspace_basis, solve
+from .jets import _const_float, _sum
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def frame_constraint_values(point):
                 + q[1][0] * u[1] * v[0] + q[1][1] * u[1] * v[1])
 
     def pair(cov, vec):
-        return sum((cov[k] * vec[k] for k in range(1, 4)), cov[0] * vec[0])
+        return _sum(cov[k] * vec[k] for k in range(4))
 
     v0a = _tangent_ambient(point, fr.v0_par)
     wa = _tangent_ambient(point, fr.w_par)
@@ -210,9 +211,4 @@ def frame_constraint_values(point):
         pair(fr.sigma2, fr.v0_perp),
         pair(fr.sigma2, fr.w_perp),
     ]
-    return [_value(v) for v in vals]
-
-
-def _value(x):
-    v = x.value() if hasattr(x, "value") else x
-    return float(getattr(v, "re", v))
+    return [_const_float(v) for v in vals]

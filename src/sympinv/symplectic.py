@@ -8,13 +8,16 @@ is testable exactly and fields evaluate on any scalar (numbers or jets).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegreeError
+from .jets import _is_exact, _matvec, _sum
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +110,15 @@ class Poly:
 
     def __call__(self, args):
         """Evaluate on scalars or jets (generic field operations)."""
-        exact = _exactish(args)
-        acc = None
+        exact = _is_exact(args)
+        contribs = []
         for e, c in self.terms.items():
-            term = None
-            for i, p in enumerate(e):
-                if p == 0:
-                    continue
-                f = args[i] ** p if p > 1 else args[i]
-                term = f if term is None else term * f
+            factors = [args[i] ** p if p > 1 else args[i] for i, p in enumerate(e) if p]
             cc = c if exact else float(c)
-            contrib = cc if term is None else term * cc
-            acc = contrib if acc is None else acc + contrib
-        if acc is None:
+            contribs.append(functools.reduce(operator.mul, factors) * cc if factors else cc)
+        if not contribs:
             return Fraction(0) if exact else 0.0
-        return acc
+        return _sum(contribs)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -130,19 +127,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars}, {self.terms!r})"
-
-
-def _exactish(args):
-    from .jets import MultiJet
-
-    for a in args:
-        if isinstance(a, Fraction):
-            return True
-        if isinstance(a, MultiJet) and a.exact:
-            return True
-        if a.__class__.__name__ == "Dual":
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +167,7 @@ class SymplecticSpace:
 
     def omega(self, u, v):
         """omega(u, v) for vectors of generic scalars."""
-        acc = None
-        for (a, b) in self.pairs:
-            term = u[a] * v[b] - u[b] * v[a]
-            acc = term if acc is None else acc + term
-        return acc
+        return _sum(u[a] * v[b] - u[b] * v[a] for a, b in self.pairs)
 
     def omega_inv_oneform(self, sigma):
         """Raise a one-form to a vector through the symplectic form.
@@ -404,21 +384,10 @@ class GroupElement:
 
     def apply_point(self, coords):
         """Apply to a coordinate vector of generic scalars."""
-        out = []
-        for i in range(self.space.dim):
-            acc = None
-            for j in range(self.space.dim):
-                m = self.matrix[i, j]
-                if m == 0.0:
-                    continue
-                term = coords[j] * m
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = coords[0] * 0.0
-            if self.translation is not None and self.translation[i] != 0.0:
-                acc = acc + self.translation[i]
-            out.append(acc)
-        return out
+        out = _matvec(self.matrix, coords)
+        if self.translation is None:
+            return out
+        return [x + t if t != 0.0 else x for x, t in zip(out, self.translation)]
 
     def compose(self, other):
         """Element acting as: first other, then self."""
@@ -446,27 +415,10 @@ class ContactLift:
 
     def apply_point(self, coords):
         n = self.cspace.n
-        xy = list(coords[: 2 * n])
-        out = []
-        for i in range(2 * n):
-            acc = None
-            for j in range(2 * n):
-                m = self.matrix[i, j]
-                if m == 0.0:
-                    continue
-                term = xy[j] * m
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else xy[0] * 0.0)
-        z = coords[2 * n]
-        half_old = None
-        half_new = None
-        for i in range(n):
-            t_old = coords[i] * coords[n + i]
-            t_new = out[i] * out[n + i]
-            half_old = t_old if half_old is None else half_old + t_old
-            half_new = t_new if half_new is None else half_new + t_new
-        z_new = (z - half_old * 0.5) * self.scale**2 + half_new * 0.5
-        out.append(z_new)
+        out = _matvec(self.matrix, coords[: 2 * n])
+        half_old = _sum(coords[i] * coords[n + i] for i in range(n))
+        half_new = _sum(out[i] * out[n + i] for i in range(n))
+        out.append((coords[2 * n] - half_old * 0.5) * self.scale**2 + half_new * 0.5)
         return out
 
     def compose(self, other):

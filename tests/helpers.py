@@ -93,9 +93,11 @@ def exact_jacobian(point, evaluator, fiber):
     """
     from fractions import Fraction
 
+    from sympinv.rational import Dual
+
     cols = []
     for name, sigma in fiber:
-        vals = evaluator(point.perturb_exact(name, sigma))
+        vals = evaluator(point.perturb(name, sigma, Dual(0, 1)))
         cols.append([getattr(v, "eps", Fraction(0)) for v in vals])
     # transpose: rows = functions
     return [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]

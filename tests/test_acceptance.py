@@ -26,10 +26,10 @@ from sympinv.errors import DegenerateJet, GeometryError, JetError, NonGenericSam
 from sympinv.exprs import BinOp, ExprAst, Neg, Num, Pow, Var, evaluate, parse
 from sympinv.geometry import (CHARTS, JetPoint, curve_chart, function_chart, pushforward,
                               relation_residual)
-from sympinv.jets import MultiJet, compose_many, invert_series
+from sympinv.jets import MultiJet, _const_float, compose_many, invert_series
 from sympinv.prolong import ORBIT_DIMENSIONS, jet_space_dimension, orbit_table
 from sympinv.signature import (RECIPES, generator_map, invariance_sweep, invariance_targets,
-                               syzygy_sweep, _as_float)
+                               syzygy_sweep)
 from sympinv.symplectic import random_group_element
 
 
@@ -126,7 +126,7 @@ def test_criterion_2_invariance_battery():
                 # degenerate locus and is not generic at float precision
                 try:
                     gens_j, _ = ev(_jittered(moved, rng))
-                    drift = max(abs(_as_float(gens_j[k]) - v) / max(abs(v), 1.0)
+                    drift = max(abs(_const_float(gens_j[k]) - v) / max(abs(v), 1.0)
                                 for k, v in values.items())
                 except (GeometryError, JetError, ZeroDivisionError):
                     drift = float("inf")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import max_invariance_error, numeric_rank, relerr, residuals, val
+from helpers import fd_jacobian, max_invariance_error, numeric_rank, relerr, residuals, val
 
 from sympinv import functions as fn
 from sympinv.errors import FrameDegeneracy
@@ -141,5 +141,30 @@ class TestGeneralN:
         # syzygies live among higher derived invariants
         rng = np.random.default_rng(31)
         p = JetPoint.random(function_chart(2), 3, rng)
-        count, rank = fn.generator_independence(p)
-        assert (count, rank) == (8, 8)
+
+        def evaluate(q):
+            gens, _ = fn.generators_general(q)
+            return [val(g) for g in gens.values()]
+
+        mat = fd_jacobian(p, evaluate, p.fiber_coordinates(0, 2), h=1e-6)
+        assert (mat.shape[0], numeric_rank(mat, rel=1e-6)) == (8, 8)
+
+
+class TestPerturb:
+    def test_one_perturb_bumps_a_float_or_an_exact_fiber_coordinate(self):
+        from sympinv.rational import Dual
+
+        rng = np.random.default_rng(5)
+        p = JetPoint.random(function_chart(1), 3, rng)
+        bumped = p.perturb("u", (2, 1), 1e-3).jets["u"]
+        want = p.jets["u"].coeffs.copy()
+        want[7] += 1e-3 / 2  # (2, 1) sits at index 7 in graded-lex order
+        assert bumped.coefficient((2, 1)) == want[7]
+        assert bumped.coeffs.tobytes() == want.tobytes()
+        pe = JetPoint.random(function_chart(1), 3, rng, exact=True)
+        moved = pe.perturb("u", (2, 1), Dual(0, 1))
+        assert moved.exact and moved.jets["u"].exact
+        assert (moved.jets["u"].coefficient((2, 1))
+                == pe.jets["u"].coefficient((2, 1)) + Dual(0, Fraction(1, 2)))
+        assert [c for i, c in enumerate(moved.jets["u"].coeffs) if i != 7] == \
+            [c for i, c in enumerate(pe.jets["u"].coeffs) if i != 7]

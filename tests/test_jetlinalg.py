@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sympinv import _tables, jetlinalg
-from sympinv.jetlinalg import _PivotFailure, _unit_like, is_negligible, magnitude
-from sympinv.jets import MultiJet, divide_all
+from sympinv.jetlinalg import _PivotFailure, is_negligible, magnitude
+from sympinv.jets import MultiJet, _one_like, divide_all
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def kernel_vector_by_division(rows, tol=1e-10):
             break
     free = [c for c in range(n) if c not in piv_cols]
     f0 = free[0]
-    one = _unit_like(rows)
+    one = _one_like(rows[0][0])
     zero = one * 0
     vec = [one if c == f0 else zero for c in range(n)]
     for r, c in enumerate(piv_cols):

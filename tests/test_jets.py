@@ -2,6 +2,7 @@
 
 import math
 import operator
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,21 @@ class TestUnivariateArithmetic:
         ce = MultiJet.constant(Fraction(8), 1, 2, (0.0,), exact=True)
         re = jets.cbrt(ce)
         assert re.coeffs[0] == Fraction(2)
+
+    @pytest.mark.parametrize("c0", [0.7, -2.5])
+    def test_cbrt_keeps_the_bits_of_its_own_series(self, c0):
+        # the binomial series of sqrt, at exponent 1/3, against the loop
+        # cbrt ran before it shared that series
+        x = MultiJet(2, 3, [c0, 0.3, -0.2, 0.1, 0.05, -0.4, 0.2, 0.0, -0.1, 0.3], (0.5, 1.0))
+        lead = jets._nth_root_scalar(float(c0), 3, False)
+        coeffs = jets._binomial_coeffs(Fraction(1, 3), x.order, False)
+        want = jets._horner(x / c0 - 1, coeffs) * lead
+        assert jets.cbrt(x).coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_cbrt_of_an_exact_zero_constant_term_is_a_domain_error(self):
+        x = MultiJet(1, 2, [Fraction(0), Fraction(1), Fraction(0)], (Fraction(0),), exact=True)
+        with pytest.raises(DomainError):
+            jets.cbrt(x)
 
     def test_random_polynomial_derivatives_match_analytic(self):
         rng = np.random.default_rng(7)
@@ -799,6 +815,17 @@ class TestBasepoints:
         with pytest.raises(DomainError):
             MultiJet(1, 0, [Fraction(1)], (bad,), exact=True)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_inner_value_rejected_before_the_array_path(self, bad):
+        # |inf - c| <= 1e-9 * (1 + inf + |c|) holds, so the basepoint
+        # tolerance alone would let an infinite inner through to a NaN result
+        outer = MultiJet(1, 2, [1.0, 2.0, 3.0], (0.5,))
+        inner = MultiJet(1, 2, [bad, 1.0, 0.0], (0.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                compose_many([outer], [inner])
+
     def test_equal_distinct_basepoints_still_checked(self):
         a = MultiJet.variable(0, 2, 2, (0.5, 1.0))
         b = MultiJet.variable(1, 2, 2, tuple([0.5, 1.0]))
@@ -851,3 +878,42 @@ def test_arithmetic_results_keep_layout_and_basepoint(data):
         assert res.exact == exact
         assert isinstance(res.coeffs, list) if exact else res.coeffs.dtype == np.float64
         acc = res
+
+
+class TestGenericScalarHelpers:
+    """The shared sums and products of the frames keep every float's bits."""
+
+    def test_sum_of_negative_zero_jets_stays_negative_zero(self):
+        z = MultiJet(2, 2, [-0.0] * 6, (0.5, 1.0))
+        total = jets._sum([z, z, z])
+        assert all(math.copysign(1.0, c) == -1.0 for c in total.coeffs)
+        # a sum seeded with 0 would give +0.0: 0.0 + (-0.0) is +0.0
+        assert math.copysign(1.0, jets._sum([-0.0, -0.0])) == -1.0
+        assert math.copysign(1.0, (0 + z).coeffs[0]) == 1.0
+
+    def test_sum_keeps_the_order_of_its_terms(self):
+        assert jets._sum([1e16, 1.0, -1e16]) == 0.0
+        assert jets._sum([1e16, -1e16, 1.0]) == 1.0
+        a, b, c = (MultiJet(1, 1, [v, 1.0], (0.0,)) for v in (1e16, 1.0, -1e16))
+        assert jets._sum(iter([a, b, c])).coeffs.tolist() == [0.0, 3.0]
+        assert jets._sum([a, c, b]).coeffs.tolist() == [1.0, 3.0]
+
+    def test_matvec_skips_zero_entries_and_maps_a_zero_row_to_v0_times_zero(self):
+        v = [MultiJet(1, 2, [1.0, -2.0, 3.0], (0.0,)), MultiJet(1, 2, [4.0, 5.0, -6.0], (0.0,))]
+        out = jets._matvec(np.array([[0.0, 0.0], [0.0, 2.0], [1.5, -1.0]]), v)
+        want = [v[0] * 0.0, v[1] * 2.0, v[0] * 1.5 + v[1] * -1.0]
+        assert [o.coeffs.tobytes() for o in out] == [w.coeffs.tobytes() for w in want]
+        assert math.copysign(1.0, out[0].coeffs[1]) == -1.0  # -2.0 * 0.0
+
+    def test_constant_term_one_and_exactness_cover_every_scalar(self):
+        from sympinv.rational import Dual
+
+        jet = MultiJet(1, 1, [Fraction(3, 2), Fraction(1)], (Fraction(0),), exact=True)
+        assert [jets._const_float(x) for x in (2, 0.5, Fraction(1, 4), Dual(3, 7), jet)] == \
+            [2.0, 0.5, 0.25, 3.0, 1.5]
+        one = jets._one_like(jet)
+        assert one.exact and one.coeffs == [Fraction(1), Fraction(0)]
+        assert jets._one_like(Dual(2, 5)) == Dual(1)
+        assert jets._one_like(np.float64(2.0)) == 1.0
+        assert jets._is_exact([1.0, Dual(1)]) and jets._is_exact([0.5, jet])
+        assert not jets._is_exact([1.0, MultiJet(1, 1, [1.0, 0.0], (0.0,))])
