@@ -357,9 +357,9 @@ def _one_like(x):
     return x * 0 + 1
 
 
-def _sum(terms):
-    """terms[0] + terms[1] + ... from the left, seeded with the first term."""
-    return functools.reduce(operator.add, terms)
+# _sum(terms): terms[0] + terms[1] + ... from the left, seeded with the first
+# term.  A partial, not a def, so that a call adds no Python frame.
+_sum = functools.partial(functools.reduce, operator.add)
 
 
 def _matvec(matrix, vec):
@@ -383,8 +383,10 @@ def _const_float(x):
 
 def _is_exact(values):
     """Whether any value is exact: a Fraction, a Dual or an exact-mode jet."""
-    return any(isinstance(v, (Fraction, Dual)) or (isinstance(v, MultiJet) and v.exact)
-               for v in values)
+    for v in values:
+        if isinstance(v, (Fraction, Dual)) or (isinstance(v, MultiJet) and v.exact):
+            return True
+    return False
 
 
 def divide_all(values, divisor):
