@@ -15,10 +15,11 @@ the degree of their target, for the graded reciprocal.  The compose plan
 gives each monomial's parent in the recursion that builds the monomial jets
 of a composition.
 
-The product and partial tables are built with numpy: the target slot of an
-exponent sum is found through mixed-radix monomial keys (base order + 1, so a
-sum of two exponents of total degree <= order never carries), looked up with
-``argsort``/``searchsorted``.
+The product and partial tables are built with numpy.  The product table
+finds the target slot of an exponent sum through mixed-radix monomial keys
+(base order + 1, so a sum of two exponents of total degree <= order never
+carries), looked up with ``argsort``/``searchsorted``; a derivative's targets
+are the whole lower-order layout in order, so its table is a gather.
 """
 
 import math
@@ -175,13 +176,13 @@ def compose_plan(nvars, order):
 def partial_table(nvars, order, direction):
     """Index maps realizing d/dx_i on dense coefficients.
 
-    Returns (src, dst, mult): for every monomial sigma of the order-K layout
-    with sigma_i >= 1, the coefficient at src lands at position dst of the
-    order-(K-1) layout scaled by mult = sigma_i.
+    Returns (src, mult): coefficient t of the order-(K-1) derivative is the
+    order-K coefficient at src[t] scaled by mult[t] = sigma_i, where sigma
+    is that monomial.  Raising x_i by one maps the order-(K-1) monomials onto
+    those of the order-K layout with sigma_i >= 1 and keeps graded-lex order,
+    so the targets are 0, 1, ..., count(nvars, K - 1) - 1 and the derivative
+    is the gather ``coeffs[src] * mult``.
     """
     exps = np.array(monomials(nvars, order), dtype=np.int64).reshape(-1, nvars)
     src = np.flatnonzero(exps[:, direction])
-    keys, weights = _keys(nvars, order)
-    # the order-(K-1) layout is a prefix of the order-K one
-    dst = _slots(keys, keys[src] - weights[direction])
-    return src, dst, exps[src, direction].astype(np.float64)
+    return src, exps[src, direction].astype(np.float64)

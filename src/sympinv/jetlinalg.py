@@ -66,6 +66,13 @@ def solve(rows, rhs, tol=1e-10):
     return [a[i][n] for i in range(n)]
 
 
+def _ring_one(rows):
+    """The one of the entries' ring: that of the first jet entry, else that of
+    the first entry, so rows of plain ``Fraction``s keep exact arithmetic."""
+    first = rows[0][0] if rows and rows[0] else 1.0
+    return _one_like(next((e for r in rows for e in r if _is_jet(e)), first))
+
+
 def kernel_vector(rows, tol=1e-10):
     """A nonzero kernel vector of a rank-deficient square matrix.
 
@@ -80,7 +87,7 @@ def kernel_vector(rows, tol=1e-10):
         raise _PivotFailure("matrix has full rank; no kernel vector")
     f0 = free[0]
     vec = [None] * n
-    one = _one_like(next((e for r in rows for e in r if _is_jet(e)), 1.0))
+    one = _ring_one(rows)
     zero = one * 0
     for c in range(n):
         vec[c] = one if c == f0 else zero
@@ -95,7 +102,7 @@ def nullspace_basis(rows, ncols, tol=1e-10):
     piv_cols = _row_reduce(a, ncols, tol)
     if len(piv_cols) < len(rows):
         raise _PivotFailure("covector system is rank-deficient")
-    one = _one_like(next((e for r in rows for e in r if _is_jet(e)), 1.0))
+    one = _ring_one(rows)
     zero = one * 0
     basis = []
     for free in range(ncols):

@@ -22,10 +22,27 @@ along; operands that share that object skip the basepoint tolerance check.
 Public construction rejects a non-finite basepoint, so a shared object is
 always a valid one.
 
+Two float jets in the same variables at the same basepoint object, the
+operands of nearly every operation a frame makes, take a direct path in
+``+ - neg *``: the result is built from the coefficient prefix of the lower
+order, with no ``_coerce``, no ``truncate`` and no length check in ``_new``.
+Its bits are those of the general path, which runs the same numpy operation
+on the same prefixes: ``a - b`` is one subtraction where the general path
+adds ``-b``, and IEEE arithmetic defines x - y as x + (-y) for every non-NaN
+operand; a product calls this module's ``mul_table`` with the lower order's
+pair table, which indexes that prefix alone.  Exact jets, scalars and equal
+but distinct basepoints take the general path through ``_coerce``, which
+stays the reference of the direct one.  Integer powers square and multiply
+from the base itself, not from the one jet: a product never holds -0.0 and
+``1 * y`` is y for a finite y, so powers >= 2 keep the bits of a start from
+one.
+
 The reciprocal runs the graded recurrence r_0 = 1/a_0,
 r_d = -(sum_{e>=1} a_e r_{d-e})_d / a_0 over homogeneous parts (Griewank and
 Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): degree d of a * r
-vanishes for d >= 1, and its pairs with e = 0 hold r_d alone.
+vanishes for d >= 1, and its pairs with e = 0 hold r_d alone.  A float jet
+in one variable runs it on Python floats, each degree summed from +0.0 in the
+order of ``np.bincount``, so with the same bits.
 
 Composition with an inner map g takes the monomial jets h^sigma of
 h = g - g(0) once and evaluates every outer against them (``compose_many``):
@@ -190,17 +207,12 @@ class MultiJet:
         """Jet of df/dx_direction (one order lower)."""
         if self.order < 1:
             raise OrderExhausted("cannot differentiate an order-0 jet")
-        src, dst, mult = _tables.partial_table(self.nvars, self.order, direction)
-        n = _tables.count(self.nvars, self.order - 1)
+        src, mult = _tables.partial_table(self.nvars, self.order, direction)
         if self.exact:
             zero = _zero_like(self.coeffs[0])
-            out = [zero] * n
-            for s, d, m in zip(src, dst, mult):
-                out[d] = out[d] + self.coeffs[s] * int(m)
+            out = [zero + self.coeffs[s] * int(m) for s, m in zip(src, mult)]
             return self._new(out, self.order - 1, True)
-        out = np.zeros(n)
-        out[dst] = self.coeffs[src] * mult
-        return self._new(out, self.order - 1, False)
+        return self._direct(self.coeffs[src] * mult, self.order - 1)
 
     def __repr__(self):
         return (f"MultiJet(nvars={self.nvars}, order={self.order}, "
@@ -240,7 +252,24 @@ class MultiJet:
         out.exact = exact
         return out
 
+    def _direct(self, coeffs, order):
+        """Float result at this jet's basepoint object, without ``_new``'s
+        length check: ``coeffs`` is a float64 vector of the order's layout."""
+        out = MultiJet.__new__(MultiJet)
+        out.nvars = self.nvars
+        out.order = order
+        out.coeffs = coeffs
+        out.basepoint = self.basepoint
+        out.exact = False
+        return out
+
     def __add__(self, other):
+        if (isinstance(other, MultiJet) and other.basepoint is self.basepoint
+                and not (self.exact or other.exact) and other.nvars == self.nvars):
+            a, b = self.coeffs, other.coeffs
+            if len(a) <= len(b):
+                return self._direct(a + b[:len(a)], self.order)
+            return self._direct(a[:len(b)] + b, other.order)
         pair = self._coerce(other)
         if pair is not None:
             a, b, n_ord, exact = pair
@@ -256,15 +285,33 @@ class MultiJet:
     def __neg__(self):
         if self.exact:
             return self._new([-c for c in self.coeffs], self.order, True)
-        return self._new(-self.coeffs, self.order, False)
+        return self._direct(-self.coeffs, self.order)
 
     def __sub__(self, other):
+        if (isinstance(other, MultiJet) and other.basepoint is self.basepoint
+                and not (self.exact or other.exact) and other.nvars == self.nvars):
+            # x - y is x + (-y) in IEEE arithmetic, bit for bit
+            a, b = self.coeffs, other.coeffs
+            if len(a) <= len(b):
+                return self._direct(a - b[:len(a)], self.order)
+            return self._direct(a[:len(b)] - b, other.order)
         return self + (-other if isinstance(other, MultiJet) else -1 * other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if (isinstance(other, MultiJet) and other.basepoint is self.basepoint
+                and not (self.exact or other.exact) and other.nvars == self.nvars):
+            # the pairs of the lower order index only its layout, a prefix
+            # of both operands' coefficients
+            a, b = self.coeffs, other.coeffs
+            if len(a) <= len(b):
+                n, order = len(a), self.order
+            else:
+                n, order = len(b), other.order
+            pi, pj, pr = _tables.product_table(self.nvars, order)
+            return self._direct(mul_table(a, b, pi, pj, pr, n), order)
         pair = self._coerce(other)
         if pair is not None:
             a, b, n_ord, exact = pair
@@ -298,9 +345,11 @@ class MultiJet:
         r_0 = 1/a_0 and r_d = -(sum_{e>=1} a_e r_{d-e})_d / a_0, over the
         pairs of ``_tables.reciprocal_plan``: O(one product) work and no
         intermediate jets.  Float mode sums each degree with one
-        ``np.bincount`` and divides it by a_0; in one variable this is the
-        scalar Taylor recurrence r_k = -(a_1 r_{k-1} + ... + a_k r_0) / a_0,
-        bit for bit.
+        ``np.bincount`` and divides it by a_0.  In one variable the pairs of
+        degree k are (i, k - i), i = 1..k, so float mode runs the scalar
+        Taylor recurrence r_k = -(0.0 + a_1 r_{k-1} + ... + a_k r_0) / a_0 on
+        Python floats (``_taylor_reciprocal``): the same sum from the same
+        +0.0 in the same order, so the same bits.
         """
         a = self.coeffs
         c0 = a[0]
@@ -318,6 +367,8 @@ class MultiJet:
             return self._new(r, self.order, True)
         if abs(c0) < _DIV_FLOOR:
             raise DivisionByZeroJet(f"divisor constant term {c0!r}")
+        if self.nvars == 1:
+            return self._direct(np.array(_taylor_reciprocal(a.tolist())), self.order)
         r = np.empty(len(a))
         r[0] = 1.0 / c0
         start = 1
@@ -346,10 +397,32 @@ def _scalar_reciprocal(x, exact):
     return 1.0 / float(x)
 
 
+def _taylor_reciprocal(a):
+    """Coefficients of 1/f in one variable from those of f, as Python floats.
+
+    ``np.bincount`` sums a degree's pairs a_i r_{k-i}, i = 1..k, in that
+    order onto +0.0, and so does this loop; ``-s / a_0`` is the last step of
+    the array recurrence, so each r_k has the bits of the graded plan.
+    """
+    c0 = a[0]
+    r = [1.0 / c0]
+    for k in range(1, len(a)):
+        s = 0.0
+        for i in range(1, k + 1):
+            s += a[i] * r[k - i]
+        r.append(-s / c0)
+    return r
+
+
 def _one_like(x):
-    """The one of x's ring: a constant jet for a jet, 1.0 for a plain number."""
+    """The one of x's ring: a constant jet for a jet, 1.0 for a plain number.
+
+    An exact jet's one is ``c0 * 0 + 1`` for its constant term c0, so a jet
+    with ``int`` coefficients gets the exact ``1``.
+    """
     if isinstance(x, MultiJet):
-        return _const_like(x, _one_like(x.coeffs[0]))
+        c0 = x.coeffs[0]
+        return _const_like(x, c0 * 0 + 1 if x.exact else _one_like(c0))
     if isinstance(x, Fraction):
         return Fraction(1)
     if _is_plain_number(x):
@@ -419,11 +492,14 @@ def _jet_pow(x, expo):
         expo = int(expo)
         if expo < 0:
             return x.reciprocal() ** (-expo)
-        res = _one_like(x)
+        if expo == 0:
+            return _one_like(x)
+        # square and multiply from x itself, not from the one jet
+        res = None
         base = x
         while expo:
             if expo & 1:
-                res = res * base
+                res = base if res is None else res * base
             base = base * base if expo > 1 else base
             expo >>= 1
         return res

@@ -145,3 +145,11 @@ def test_divide_all_takes_one_reciprocal(monkeypatch):
     assert len(calls) == 1
     for g, w in zip(got, want):
         assert g.coeffs.tobytes() == w.coeffs.tobytes()
+
+
+def test_plain_fraction_rows_keep_exact_arithmetic():
+    vec = jetlinalg.kernel_vector([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
+    assert vec == [1, 0] and all(type(v) is Fraction for v in vec)
+    basis = jetlinalg.nullspace_basis([[Fraction(0), Fraction(1), Fraction(2)]], 3)
+    assert basis == [[1, 0, 0], [0, -2, 1]]
+    assert all(type(v) is Fraction for vec in basis for v in vec)

@@ -1,5 +1,6 @@
 """Kernel-level tests for truncated series arithmetic."""
 
+import functools
 import math
 import operator
 import warnings
@@ -917,3 +918,142 @@ class TestGenericScalarHelpers:
         assert jets._one_like(np.float64(2.0)) == 1.0
         assert jets._is_exact([1.0, Dual(1)]) and jets._is_exact([0.5, jet])
         assert not jets._is_exact([1.0, MultiJet(1, 1, [1.0, 0.0], (0.0,))])
+
+
+def edge_coeffs(rng, n, big=1e150):
+    """Coefficients with signed zeros, large and small magnitudes and a
+    negative constant term; the last one is -0.0.  Products of two stay
+    finite, and so do those of up to seven with a ``big`` of 1e20."""
+    c = rng.normal(size=n)
+    picks = rng.choice([0.0, -0.0, big, -big, 1 / big, -1 / big], size=n)
+    mask = rng.random(n) < 0.4
+    c[mask] = picks[mask]
+    c[0] = -abs(c[0]) - 0.5
+    if n > 1:
+        c[-1] = -0.0
+    return c
+
+
+def rebased(x):
+    """x on an equal but distinct basepoint tuple, which sends operations
+    with x through ``_coerce``."""
+    base = tuple(float(b) for b in x.basepoint)
+    assert base == x.basepoint and base is not x.basepoint
+    return MultiJet(x.nvars, x.order, x.coeffs.copy(), base)
+
+
+class TestDirectFloatPaths:
+    """Float jets at one basepoint object take the direct path of ``+ - neg *``;
+    the general path through ``_coerce`` is the reference, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_direct_path_has_the_general_paths_bits(self, p, monkeypatch):
+        rng = np.random.default_rng(700 + p)
+        base = tuple(rng.uniform(-1, 1, size=p))
+        pairs = [(ka, kb) for ka in range(7) for kb in range(7)]
+        jets_ = {k: MultiJet(p, k, edge_coeffs(rng, _tables.count(p, k)), base)
+                 for k in range(7)}
+        for ka, kb in pairs:
+            a, b = jets_[ka], jets_[kb]
+            want = {name: op(rebased(a), b) for name, op in
+                    (("+", operator.add), ("-", operator.sub), ("*", operator.mul))}
+            with monkeypatch.context() as m:
+                m.setattr(MultiJet, "_coerce", None)  # the direct path never coerces
+                got = {"+": a + b, "-": a - b, "*": a * b}
+            for name, g in got.items():
+                w = want[name]
+                assert g.order == w.order == min(ka, kb), name
+                assert g.basepoint is a.basepoint and not g.exact
+                assert g.coeffs.dtype == np.float64 and g.coeffs.flags.c_contiguous
+                assert g.coeffs.tobytes() == w.coeffs.tobytes(), (name, ka, kb)
+            neg = -a
+            assert neg.basepoint is a.basepoint and neg.order == ka
+            assert neg.coeffs.tobytes() == (a * -1.0).coeffs.tobytes()
+
+    def test_other_operands_keep_the_general_path(self, monkeypatch):
+        calls = []
+        real = MultiJet._coerce
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(MultiJet, "_coerce", counting)
+        a = MultiJet(2, 2, np.arange(6.0) + 1, (0.5, 1.0))
+        exact = MultiJet(2, 2, [Fraction(k + 1) for k in range(6)], a.basepoint, exact=True)
+        for other in (rebased(a), exact, 2.0):
+            for op in (operator.add, operator.sub, operator.mul):
+                op(a, other)
+        assert len(calls) == 9
+
+    def test_univariate_reciprocal_is_the_plan_recurrence(self):
+        """The scalar loop against the ``np.bincount`` recurrence of
+        ``reciprocal_plan``, which the jets in several variables still run."""
+
+        def plan_reciprocal(x):
+            a, c0 = x.coeffs, x.coeffs[0]
+            r = np.empty(len(a))
+            r[0] = 1.0 / c0
+            start = 1
+            for pi, pj, pr, width in _tables.reciprocal_plan(x.nvars, x.order):
+                r[start:start + width] = -np.bincount(pr, weights=a[pi] * r[pj],
+                                                      minlength=width) / c0
+                start += width
+            return r
+
+        rng = np.random.default_rng(71)
+        for order in range(13):
+            for trial in range(12):
+                coeffs = edge_coeffs(rng, order + 1, big=1e20)
+                coeffs[0] = rng.choice([-1, 1]) * rng.uniform(0.5, 2)
+                if trial == 0:
+                    coeffs[1:] = -0.0
+                x = uni(coeffs)
+                assert x.reciprocal().coeffs.tobytes() == plan_reciprocal(x).tobytes()
+            for p in (2, 3):
+                if order <= 6:
+                    y = MultiJet(p, order, edge_coeffs(rng, _tables.count(p, order), big=1e20),
+                                 (0.0,) * p)
+                    assert y.reciprocal().coeffs.tobytes() == plan_reciprocal(y).tobytes()
+            for c0 in (0.0, -0.0, 1e-301, -1e-301):
+                coeffs = edge_coeffs(rng, order + 1)
+                coeffs[0] = c0
+                with pytest.raises(DivisionByZeroJet):
+                    uni(coeffs).reciprocal()
+
+
+class TestPowers:
+    def test_float_power_has_the_bits_of_a_start_from_one(self):
+        """``x ** k`` starts from x; the square-and-multiply from the one jet
+        it replaced gives the same bits for k >= 2."""
+
+        def from_one(x, k):
+            res, base = jets._one_like(x), x
+            while k:
+                if k & 1:
+                    res = res * base
+                base = base * base if k > 1 else base
+                k >>= 1
+            return res
+
+        rng = np.random.default_rng(73)
+        for p, order in ((1, 8), (2, 5), (3, 3)):
+            x = MultiJet(p, order, edge_coeffs(rng, _tables.count(p, order), big=1e20),
+                         (0.25,) * p)
+            for k in range(2, 8):
+                got, want = x ** k, from_one(x, k)
+                assert got.coeffs.tobytes() == want.coeffs.tobytes(), (p, k)
+                naive = functools.reduce(operator.mul, [x] * k)
+                assert np.allclose(got.coeffs, naive.coeffs, rtol=1e-12, atol=0)
+
+    def test_exact_power_of_int_coefficients_stays_exact(self):
+        x = MultiJet(1, 2, [1, 2, 3], (0,), exact=True)
+        for k in range(4):
+            got = x ** k
+            want = functools.reduce(operator.mul, [x] * k) if k else None
+            assert got.exact
+            assert not any(isinstance(c, float) for c in got.coeffs), k
+            assert got.coeffs == (want.coeffs if k else [1, 0, 0])
+        one = jets._one_like(x)
+        assert one.exact and one.coeffs == [1, 0, 0]
+        assert all(type(c) is int for c in one.coeffs)
