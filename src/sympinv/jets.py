@@ -23,8 +23,8 @@ Public construction rejects a non-finite basepoint, so a shared object is
 always a valid one.
 
 Two float jets in the same variables at the same basepoint object, the
-operands of nearly every operation a frame makes, take a direct path in
-``+ - neg *``: the result is built from the coefficient prefix of the lower
+operands of nearly every jet-jet operation a frame makes, take a direct path
+in ``+ - neg *``: the result is built from the coefficient prefix of the lower
 order, with no ``_coerce``, no ``truncate`` and no length check in ``_new``.
 Its bits are those of the general path, which runs the same numpy operation
 on the same prefixes: ``a - b`` is one subtraction where the general path
