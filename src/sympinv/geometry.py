@@ -220,7 +220,7 @@ class JetPoint:
         """
         jets = dict(self.jets)
         jet = jets[name]
-        coeffs = list(jet.coeffs) if jet.exact else jet.coeffs.copy()
+        coeffs = jet.coeffs.copy()
         pos = _tables.index_of(jet.nvars, jet.order)[tuple(sigma)]
         coeffs[pos] = coeffs[pos] + h / _factorial_multi(sigma)
         jets[name] = MultiJet(jet.nvars, jet.order, coeffs, jet.basepoint, exact=jet.exact)

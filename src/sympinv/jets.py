@@ -5,62 +5,60 @@ function of p variables around a basepoint, over the graded-lex monomials of
 :mod:`sympinv._tables`, and implements exact truncated arithmetic through its
 order.  Every jet is a `MultiJet`: a curve's jets are the one-variable ones,
 ``MultiJet(1, order, coeffs, (t0,))``, whose coefficient k is f^(k)(t0)/k!, and
-d/dt is ``partial(0)``.  Two coefficient modes exist:
+d/dt is ``partial(0)``.
 
-* float mode - coefficients in a float64 numpy vector, products computed by
-  the numpy kernel of :mod:`sympinv.kernels`;
-* exact mode - coefficients in a plain list of objects supporting field
-  operations (``fractions.Fraction``, dual numbers, ...), used by the
+The coefficients are one 1-D numpy array, in one of two dtypes:
+
+* float mode - ``float64``;
+* exact mode - ``object``, holding elements of a field (``int`` and
+  ``fractions.Fraction`` values, dual numbers, ...), used by the
   exact-rational oracles.
 
+Truncated Taylor arithmetic is an operation on coefficient vectors, whatever
+the scalar ring (Griewank and Walther, *Evaluating Derivatives*, 2nd ed.,
+ch. 13), so every operation has one code path for both dtypes.  They differ
+only where numpy does: a float product calls the ``mul_table`` kernel of
+:mod:`sympinv.kernels`, which this module looks up at call time, while an
+object product sums its pairs with ``np.add.at`` onto the int 0, which keeps
+the ring of its terms; a scalar operand of a float jet goes through
+``float()``; and the zero-divisor and finiteness tests are float tests.
 Every downstream invariant evaluator is written against ordinary ``+ - * /``
 scalars, so the same formula runs on numbers and on jets of either mode.
 
-Arithmetic results are built by ``_new``, which skips the public
-constructor's conversions and passes the left operand's basepoint object
-along; operands that share that object skip the basepoint tolerance check.
-Public construction rejects a non-finite basepoint, so a shared object is
-always a valid one.
-
-Two float jets in the same variables at the same basepoint object, the
-operands of nearly every jet-jet operation a frame makes, take a direct path
-in ``+ - neg *``: the result is built from the coefficient prefix of the lower
-order, with no ``_coerce``, no ``truncate`` and no length check in ``_new``.
-Its bits are those of the general path, which runs the same numpy operation
-on the same prefixes: ``a - b`` is one subtraction where the general path
-adds ``-b``, and IEEE arithmetic defines x - y as x + (-y) for every non-NaN
-operand; a product calls this module's ``mul_table`` with the lower order's
-pair table, which indexes that prefix alone.  Exact jets, scalars and equal
-but distinct basepoints take the general path through ``_coerce``, which
-stays the reference of the direct one.  Integer powers square and multiply
-from the base itself, not from the one jet: a product never holds -0.0 and
-``1 * y`` is y for a finite y, so powers >= 2 keep the bits of a start from
-one.
+The layout of a lower order is a prefix of that of a higher one, so an
+operation on jets of orders k <= m reads the first count(p, k) coefficients of
+both.  Its result is built by ``_new``, which skips the public constructor's
+conversions and passes the left operand's basepoint object along; operands
+that share that object skip the basepoint check.  Public construction
+rejects a non-finite basepoint and one whose length is not the variable
+count, so a shared object is always a valid one in the same variables.
+``a - b`` is one subtraction, also with a scalar b: IEEE arithmetic defines
+x - y as x + (-y) for every non-NaN operand.  Integer powers square and
+multiply from the base itself, not from the one jet: a product never holds
+-0.0 and ``1 * y`` is y for a finite y, so powers >= 2 keep the bits of a
+start from one.
 
 The reciprocal runs the graded recurrence r_0 = 1/a_0,
-r_d = -(sum_{e>=1} a_e r_{d-e})_d / a_0 over homogeneous parts (Griewank and
-Walther, *Evaluating Derivatives*, 2nd ed., ch. 13): degree d of a * r
-vanishes for d >= 1, and its pairs with e = 0 hold r_d alone.  A float jet
-in one variable runs it on Python floats, each degree summed from +0.0 in the
-order of ``np.bincount``, so with the same bits.
+r_d = -(sum_{e>=1} a_e r_{d-e})_d / a_0 over homogeneous parts: degree d of
+a * r vanishes for d >= 1, and its pairs with e = 0 hold r_d alone.  A float
+jet in one variable runs it on Python floats, each degree summed from +0.0 in
+the order of ``np.bincount``, so with the same bits.
 
 Composition with an inner map g takes the monomial jets h^sigma of
 h = g - g(0) once and evaluates every outer against them (``compose_many``):
 the inversion composes all p components of its nonlinear part with the same
-inner map on each pass, and a pushforward all dependent jets.  In float mode
-both run on coefficient arrays, not on jets: the monomial jets are the rows
-of one array, built and met by the outers in one private routine
-(``_compose_rows``) through one ``np.einsum`` contraction rather than a BLAS
-``gemm``, so results do not depend on the BLAS thread count.  A row of
-degree d vanishes below degree d, and h has an exact zero constant term, so
-its product runs over the pairs of the product table whose left factor has
-degree >= d - 1 and whose right factor is not the constant monomial
-(``_tables.suffix_tables``).  For finite coefficients every skipped pair
-adds +-0, so every coefficient keeps the bits of the whole-table product.
-
-``invert_series`` runs its growing-order passes on one (p, ncoeff) float64
-array and builds the p result jets once at the end; exact mode keeps the
-jet-level passes, which are the oracle of the float arithmetic.
+inner map on each pass, and a pushforward all dependent jets.  Both run on
+coefficient arrays, not on jets: the monomial jets are the rows of one array,
+built and met by the outers in one private routine (``_compose_rows``)
+through one ``np.einsum`` contraction rather than a BLAS ``gemm``, so results
+do not depend on the BLAS thread count.  A row of degree d vanishes below
+degree d, and h has an exact zero constant term, so its product runs over the
+pairs of the product table whose left factor has degree >= d - 1 and whose
+right factor is not the constant monomial (``_tables.suffix_tables``).  For
+finite coefficients every skipped pair adds +-0, so every coefficient keeps
+the bits of the whole-table product.  ``invert_series`` runs its
+growing-order passes on one (p, ncoeff) array and builds the p result jets
+once at the end.
 
 The frames do linear algebra over one ring of scalars (floats, fractions,
 duals or jets of either mode), and this module keeps the helpers they share:
@@ -136,12 +134,14 @@ class MultiJet:
         if exact is None:
             exact = not all(_is_plain_number(c) for c in coeffs)
         if exact:
-            self.coeffs = list(coeffs)
+            self.coeffs = np.array(coeffs, dtype=object)
         else:
             self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        if len(self.coeffs) != _tables.count(nvars, order):
+        if self.coeffs.shape != (_tables.count(nvars, order),):
             raise ValueError("coefficient vector does not match the dense layout")
         self.basepoint = tuple(basepoint)
+        if len(self.basepoint) != nvars:
+            raise ValueError(f"basepoint {self.basepoint!r} of a jet in {nvars} variables")
         _check_basepoint(self.basepoint)
         self.exact = exact
 
@@ -209,10 +209,8 @@ class MultiJet:
             raise OrderExhausted("cannot differentiate an order-0 jet")
         src, mult = _tables.partial_table(self.nvars, self.order, direction)
         if self.exact:
-            zero = _zero_like(self.coeffs[0])
-            out = [zero + self.coeffs[s] * int(m) for s, m in zip(src, mult)]
-            return self._new(out, self.order - 1, True)
-        return self._direct(self.coeffs[src] * mult, self.order - 1)
+            mult = mult.astype(np.int64)  # a float multiplier makes a float coefficient
+        return self._new(self.coeffs[src] * mult, self.order - 1, self.exact)
 
     def __repr__(self):
         return (f"MultiJet(nvars={self.nvars}, order={self.order}, "
@@ -220,30 +218,12 @@ class MultiJet:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, MultiJet):
-            if other.nvars != self.nvars:
-                raise TypeError("variable counts differ")
-            exact = self.exact or other.exact
-            if (other.basepoint is not self.basepoint
-                    and not all(_same_base(a, b, exact)
-                                for a, b in zip(self.basepoint, other.basepoint))):
-                raise BasepointMismatch(
-                    f"basepoints {self.basepoint!r} and {other.basepoint!r}"
-                )
-            n_ord = min(self.order, other.order)
-            a = self.truncate(n_ord)
-            b = other.truncate(n_ord)
-            return a, b, n_ord, exact
-        return None
-
     def _new(self, coeffs, order, exact):
         """Result at this jet's basepoint object, bypassing ``__init__``.
 
-        ``coeffs`` must already be a list (exact) or a float64 vector (float).
+        ``coeffs`` must already be the 1-D float64 (float) or object (exact)
+        array of the order's layout.
         """
-        if len(coeffs) != _tables.count(self.nvars, order):
-            raise ValueError("coefficient vector does not match the dense layout")
         out = MultiJet.__new__(MultiJet)
         out.nvars = self.nvars
         out.order = order
@@ -252,57 +232,51 @@ class MultiJet:
         out.exact = exact
         return out
 
-    def _direct(self, coeffs, order):
-        """Float result at this jet's basepoint object, without ``_new``'s
-        length check: ``coeffs`` is a float64 vector of the order's layout."""
-        out = MultiJet.__new__(MultiJet)
-        out.nvars = self.nvars
-        out.order = order
-        out.coeffs = coeffs
-        out.basepoint = self.basepoint
-        out.exact = False
-        return out
+    def _check_operand(self, other):
+        """Raise unless ``other``, a jet at another basepoint object, has this
+        jet's variables and an equal basepoint."""
+        if other.nvars != self.nvars:
+            raise TypeError("variable counts differ")
+        exact = self.exact or other.exact
+        if not all(_same_base(a, b, exact) for a, b in zip(self.basepoint, other.basepoint)):
+            raise BasepointMismatch(f"basepoints {self.basepoint!r} and {other.basepoint!r}")
 
     def __add__(self, other):
-        if (isinstance(other, MultiJet) and other.basepoint is self.basepoint
-                and not (self.exact or other.exact) and other.nvars == self.nvars):
+        if isinstance(other, MultiJet):
+            if other.basepoint is not self.basepoint:
+                self._check_operand(other)
             a, b = self.coeffs, other.coeffs
             if len(a) <= len(b):
-                return self._direct(a + b[:len(a)], self.order)
-            return self._direct(a[:len(b)] + b, other.order)
-        pair = self._coerce(other)
-        if pair is not None:
-            a, b, n_ord, exact = pair
-            if exact:
-                return self._new([x + y for x, y in zip(a.coeffs, b.coeffs)], n_ord, True)
-            return self._new(a.coeffs + b.coeffs, n_ord, False)
-        coeffs = list(self.coeffs) if self.exact else self.coeffs.copy()
-        coeffs[0] = coeffs[0] + other
+                return self._new(a + b[:len(a)], self.order, self.exact or other.exact)
+            return self._new(a[:len(b)] + b, other.order, self.exact or other.exact)
+        coeffs = self.coeffs.copy()
+        coeffs[0] = coeffs[0] + (other if self.exact else float(other))
         return self._new(coeffs, self.order, self.exact)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.exact:
-            return self._new([-c for c in self.coeffs], self.order, True)
-        return self._direct(-self.coeffs, self.order)
+        return self._new(-self.coeffs, self.order, self.exact)
 
     def __sub__(self, other):
-        if (isinstance(other, MultiJet) and other.basepoint is self.basepoint
-                and not (self.exact or other.exact) and other.nvars == self.nvars):
-            # x - y is x + (-y) in IEEE arithmetic, bit for bit
+        if isinstance(other, MultiJet):
+            if other.basepoint is not self.basepoint:
+                self._check_operand(other)
             a, b = self.coeffs, other.coeffs
             if len(a) <= len(b):
-                return self._direct(a - b[:len(a)], self.order)
-            return self._direct(a[:len(b)] - b, other.order)
-        return self + (-other if isinstance(other, MultiJet) else -1 * other)
+                return self._new(a - b[:len(a)], self.order, self.exact or other.exact)
+            return self._new(a[:len(b)] - b, other.order, self.exact or other.exact)
+        coeffs = self.coeffs.copy()
+        coeffs[0] = coeffs[0] - (other if self.exact else float(other))
+        return self._new(coeffs, self.order, self.exact)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if (isinstance(other, MultiJet) and other.basepoint is self.basepoint
-                and not (self.exact or other.exact) and other.nvars == self.nvars):
+        if isinstance(other, MultiJet):
+            if other.basepoint is not self.basepoint:
+                self._check_operand(other)
             # the pairs of the lower order index only its layout, a prefix
             # of both operands' coefficients
             a, b = self.coeffs, other.coeffs
@@ -311,23 +285,11 @@ class MultiJet:
             else:
                 n, order = len(b), other.order
             pi, pj, pr = _tables.product_table(self.nvars, order)
-            return self._direct(mul_table(a, b, pi, pj, pr, n), order)
-        pair = self._coerce(other)
-        if pair is not None:
-            a, b, n_ord, exact = pair
-            pi, pj, pr = _tables.product_table(self.nvars, n_ord)
-            if exact:
-                ac, bc = a.coeffs, b.coeffs
-                zero = _zero_like(ac[0] * bc[0])
-                out = [zero] * _tables.count(self.nvars, n_ord)
-                for i, j, r in zip(pi, pj, pr):
-                    out[r] = out[r] + ac[i] * bc[j]
-                return self._new(out, n_ord, True)
-            n = _tables.count(self.nvars, n_ord)
-            return self._new(mul_table(a.coeffs, b.coeffs, pi, pj, pr, n), n_ord, False)
-        if self.exact:
-            return self._new([c * other for c in self.coeffs], self.order, True)
-        return self._new(self.coeffs * float(other), self.order, False)
+            if self.exact or other.exact:
+                return self._new(_mul_object(a, b, pi, pj, pr, n), order, True)
+            return self._new(mul_table(a, b, pi, pj, pr, n), order, False)
+        return self._new(self.coeffs * (other if self.exact else float(other)),
+                         self.order, self.exact)
 
     __rmul__ = __mul__
 
@@ -344,38 +306,30 @@ class MultiJet:
 
         r_0 = 1/a_0 and r_d = -(sum_{e>=1} a_e r_{d-e})_d / a_0, over the
         pairs of ``_tables.reciprocal_plan``: O(one product) work and no
-        intermediate jets.  Float mode sums each degree with one
-        ``np.bincount`` and divides it by a_0.  In one variable the pairs of
-        degree k are (i, k - i), i = 1..k, so float mode runs the scalar
+        intermediate jets.  Each degree's sum is one ``np.bincount`` in float
+        mode and one ``_mul_object`` in exact mode.  In one variable the pairs
+        of degree k are (i, k - i), i = 1..k, so float mode runs the scalar
         Taylor recurrence r_k = -(0.0 + a_1 r_{k-1} + ... + a_k r_0) / a_0 on
         Python floats (``_taylor_reciprocal``): the same sum from the same
         +0.0 in the same order, so the same bits.
         """
         a = self.coeffs
         c0 = a[0]
-        plan = _tables.reciprocal_plan(self.nvars, self.order)
-        if self.exact:
-            if c0 == 0:
-                raise DivisionByZeroJet("exact divisor with zero constant term")
-            r = [_scalar_reciprocal(c0, True)]
-            zero = _zero_like(c0 * r[0])
-            for pi, pj, pr, width in plan:
-                acc = [zero] * width
-                for i, j, k in zip(pi, pj, pr):
-                    acc[k] = acc[k] + a[i] * r[j]
-                r.extend(-s / c0 for s in acc)
-            return self._new(r, self.order, True)
-        if abs(c0) < _DIV_FLOOR:
+        if c0 == 0 or not self.exact and abs(c0) < _DIV_FLOOR:
             raise DivisionByZeroJet(f"divisor constant term {c0!r}")
-        if self.nvars == 1:
-            return self._direct(np.array(_taylor_reciprocal(a.tolist())), self.order)
-        r = np.empty(len(a))
-        r[0] = 1.0 / c0
+        if self.nvars == 1 and not self.exact:
+            return self._new(np.array(_taylor_reciprocal(a.tolist())), self.order, False)
+        r = np.empty(len(a), dtype=a.dtype)
+        r[0] = _scalar_reciprocal(c0, self.exact)
         start = 1
-        for pi, pj, pr, width in plan:
-            r[start:start + width] = -np.bincount(pr, weights=a[pi] * r[pj], minlength=width) / c0
+        for pi, pj, pr, width in _tables.reciprocal_plan(self.nvars, self.order):
+            if self.exact:
+                s = _mul_object(a, r, pi, pj, pr, width)
+            else:
+                s = np.bincount(pr, weights=a[pi] * r[pj], minlength=width)
+            r[start:start + width] = -s / c0
             start += width
-        return self._new(r, self.order, False)
+        return self._new(r, self.order, self.exact)
 
     def __pow__(self, expo):
         return _jet_pow(self, expo)
@@ -385,8 +339,15 @@ class MultiJet:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _zero_like(x):
-    return x * 0
+def _mul_object(a, b, pi, pj, pr, n_out):
+    """``kernels.mul_table`` on object arrays.
+
+    Each slot sums its pairs in table order onto the int 0, which takes the
+    ring of the terms; a slot without a pair keeps the int 0.
+    """
+    out = np.zeros(n_out, dtype=object)
+    np.add.at(out, pr, a[pi] * b[pj])
+    return out
 
 
 def _scalar_reciprocal(x, exact):
@@ -668,18 +629,17 @@ def compose_many(outers, inners):
     each as h^parent * h_first along ``_tables.compose_plan``, and every
     outer is evaluated against them.  Result i has order
     min(outers[i].order, order of the inners), the basepoint object of the
-    first inner.
+    first inner, and is exact when any outer or inner is.
 
-    Float mode stacks the outers' coefficients into one array and the
-    inners' h into another and hands both to ``_compose_rows``, the array
-    routine the float inversion uses too: it builds the monomial jets as the
-    rows of one array, each over the product-table pairs of
-    ``_tables.suffix_tables`` (no pair below the row's degree, none with the
-    constant monomial of h), and takes all outers in one contraction.  For
-    finite coefficients each result has the bits of the whole-table build.
-    Exact mode sums ``acc + h^sigma * c_sigma`` in monomial order on jets.
-    A non-finite float inner value raises ``DomainError``: the basepoint
-    tolerance check alone passes an infinite one (``inf <= inf``).
+    The outers' coefficients are stacked into one array and the inners' h
+    into another, and both go to ``_compose_rows``, which the inversion uses
+    too: it builds the monomial jets as the rows of one array, each over the
+    product-table pairs of ``_tables.suffix_tables`` (no pair below the row's
+    degree, none with the constant monomial of h), and takes all outers in
+    one contraction.  For finite coefficients each float result has the bits
+    of the whole-table build.  A non-finite float inner value raises
+    ``DomainError``: the basepoint tolerance check alone passes an infinite
+    one (``inf <= inf``).
     """
     outers = list(outers)
     inners = list(inners)
@@ -700,68 +660,47 @@ def compose_many(outers, inners):
     inner_order = min(g.order for g in inners)
     orders = [min(o.order, inner_order) for o in outers]
     order = max(orders)
-
-    if exact:
-        hs = [(g - g.value()).truncate(order) for g in inners]
-        first, parent = _tables.compose_plan(p, order)
-        monos = [None] * len(first)
-        for r in range(1, len(first)):
-            h = hs[first[r]]
-            monos[r] = h if parent[r] == 0 else monos[parent[r]] * h
-        out = []
-        for outer, k in zip(outers, orders):
-            acc = _const_like(hs[0].truncate(k), outer.coeffs[0])
-            for r in range(1, _tables.count(p, k)):
-                acc = acc + monos[r].truncate(k) * outer.coeffs[r]
-            out.append(acc)
-        return out
+    dtype = object if exact else np.float64
 
     nvars = inners[0].nvars
     n_cols = _tables.count(nvars, order)
-    h = np.stack([g.coeffs[:n_cols] for g in inners])
-    h[:, 0] -= h[:, 0]  # g - g(0): +0.0 for a finite value
-    stacked = np.zeros((len(outers), _tables.count(p, order)))
+    h = np.stack([g.coeffs[:n_cols] for g in inners]).astype(dtype, copy=False)
+    h[:, 0] -= h[:, 0]  # g - g(0): +0.0 for a finite float value
+    stacked = np.zeros((len(outers), _tables.count(p, order)), dtype=dtype)
     for i, (outer, k) in enumerate(zip(outers, orders)):
         m = _tables.count(p, k)
         stacked[i, :m] = outer.coeffs[:m]
     res = _compose_rows(stacked, h, nvars, order)
-    return [inners[0]._new(row[: _tables.count(nvars, k)], k, False)
+    return [inners[0]._new(row[: _tables.count(nvars, k)], k, exact)
             for row, k in zip(res, orders)]
 
 
 def _compose_rows(stacked, h, nvars, order):
-    """``stacked @ M`` for the monomial jets M[sigma] = h^sigma, on float arrays.
+    """``stacked @ M`` for the monomial jets M[sigma] = h^sigma, on arrays.
 
     ``stacked`` is a C-contiguous (outers, count(p, order)) array of outer
     coefficients in p variables; ``h`` holds p inner rows in the order-``order``
-    layout of ``nvars`` variables, each with a zero constant term.  Row sigma
-    of M is h^parent * h_first (``_tables.compose_plan``); for degree d >= 2
-    the product runs over ``_tables.suffix_tables(nvars, order)[d - 1]``.  The
-    product is the ``mul_table`` of this module, looked up at call time.
-    ``np.einsum`` without ``optimize`` sums in numpy's own fixed loop order.
+    layout of ``nvars`` variables, each with a zero constant term, in the same
+    dtype.  Row sigma of M is h^parent * h_first (``_tables.compose_plan``);
+    for degree d >= 2 the product runs over
+    ``_tables.suffix_tables(nvars, order)[d - 1]``.  A float product is the
+    ``mul_table`` of this module, looked up at call time, and an object one
+    ``_mul_object``.  ``np.einsum`` without ``optimize`` sums in numpy's own
+    fixed loop order.
     """
     first, parent = _tables.compose_plan(h.shape[0], order)
     deg = _tables.degrees(h.shape[0], order)
     suffixes = _tables.suffix_tables(nvars, order)
     n_cols = h.shape[1]
-    basis = np.zeros((len(first), n_cols))
-    basis[0, 0] = 1.0
+    mul = _mul_object if h.dtype == object else mul_table
+    basis = np.zeros((len(first), n_cols), dtype=h.dtype)
+    basis[0, 0] = 1
     for r in range(1, len(first)):
         if parent[r] == 0:
             basis[r] = h[first[r]]
         else:
-            basis[r] = mul_table(basis[parent[r]], h[first[r]], *suffixes[deg[r] - 1], n_cols)
+            basis[r] = mul(basis[parent[r]], h[first[r]], *suffixes[deg[r] - 1], n_cols)
     return np.einsum("km,mn->kn", stacked, basis)
-
-
-def _linear_part_matrix(jets):
-    p = len(jets)
-    pos = _tables.index_of(p, jets[0].order)
-    rows = []
-    for s in jets:
-        rows.append([s.coeffs[pos[tuple(1 if k == j else 0 for k in range(p))]]
-                     for j in range(p)])
-    return rows
 
 
 def invert_series(jets):
@@ -770,109 +709,69 @@ def invert_series(jets):
     Takes a sequence of p jets in p variables and returns the p jets of the
     inverse map centered at the image point, so
     ``compose_many(jets, invert_series(jets))`` is the identity through order K.
-    The p results share one basepoint tuple.
+    The p results share one basepoint tuple, and are exact when any jet is.
 
     Writing s(x) = b + L(x - a) + N(x - a) with N of order >= 2, the inverse
     t solves t = a + L^-1 (y - b - N(t - a)).  Starting from the affine t_1,
     pass k = 2..K evaluates the right-hand side at order k only: N's order-k
     terms depend on t through order k - 1 alone, so pass k fixes the order-k
     coefficients and only the last pass works at full order (Griewank and
-    Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  Exact-mode results
-    equal those of K - 1 full-order passes.
+    Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  The results equal
+    those of K - 1 full-order passes.
 
-    Float mode runs the passes on one (p, ncoeff) float64 array and keeps the
-    bits of the jet-level passes that exact mode still runs: the affine step
-    adds ``rhs[j] * Linv[i, j]`` in j order onto rows holding a_i at slot 0
-    and a_i * 0 elsewhere, as a constant jet does; N is s with slots 0..p
-    set to +0.0 (the jet-level N may hold -0.0 there, but y - N(t) gives the
-    same bits for either zero); pass k zero-pads the order-(k-1) rows and
-    composes through ``_compose_rows``.  A non-finite coefficient of
-    the map raises ``DomainError`` before the linear part is inverted, and so
-    does an inverse that overflows, so no non-finite jet is returned.
+    The passes run on one (p, ncoeff) array, float64 or object.  In float
+    mode they keep the bits of the same passes on jets: the affine step adds
+    ``rhs[j] * Linv[i, j]`` in j order onto rows holding a_i at slot 0 and
+    a_i * 0 elsewhere, as a constant jet does; N is s with slots 0..p set to
+    zero (the jet-level N may hold -0.0 there, but y - N(t) gives the same
+    bits for either zero); pass k zero-pads the order-(k-1) rows and composes
+    through ``_compose_rows``.  A non-finite float coefficient of the map
+    raises ``DomainError`` before the linear part is inverted, and so does an
+    inverse that overflows, so no non-finite jet is returned.
     """
     jets = list(jets)
     p = len(jets)
     if any(g.nvars != p for g in jets):
         raise TypeError("need p jets in p variables")
     order = min(g.order for g in jets)
-    jets = [g.truncate(order) for g in jets]
-    if any(g.exact for g in jets):
-        return _invert_exact(jets, order)
+    exact = any(g.exact for g in jets)
+    dtype = object if exact else np.float64
 
-    s = np.stack([g.coeffs for g in jets])
-    if not np.isfinite(s).all():
+    n = _tables.count(p, order)
+    s = np.stack([g.coeffs[:n] for g in jets]).astype(dtype, copy=False)
+    if not exact and not np.isfinite(s).all():
         raise DomainError(f"non-finite coefficient in a jet map with value {s[:, 0].tolist()}")
-    a = np.array(jets[0].basepoint, dtype=np.float64)
-    linv = _invert_matrix(s[:, 1:p + 1], False)  # monomial x_j sits at index 1 + j
+    a = np.array(jets[0].basepoint, dtype=dtype)
+    linv = _invert_matrix(s[:, 1:p + 1], exact)  # monomial x_j sits at index 1 + j
     n_part = s.copy()
-    n_part[:, :p + 1] = 0.0
+    n_part[:, :p + 1] = 0
 
     def affine_step(rhs):
-        t = np.zeros(rhs.shape)
-        t[:, 0] = 1.0
+        t = np.zeros(rhs.shape, dtype=dtype)
+        t[:, 0] = 1
         t *= a[:, None]
         for j in range(p):
             t += linv[:, j, None] * rhs[j]
         return t
 
     # y - b is the identity; pass k zero-pads the order-(k-1) rows into h,
-    # whose slot 0 keeps +0.0: t - t(0) for a finite t
-    t = affine_step(np.eye(p, p + 1, 1))
+    # whose slot 0 keeps a zero: t - t(0) for a finite t
+    t = affine_step(np.eye(p, p + 1, 1, dtype=dtype))
     for k in range(2, order + 1):
         n_k = _tables.count(p, k)
-        h = np.zeros((p, n_k))
+        h = np.zeros((p, n_k), dtype=dtype)
         h[:, 1:t.shape[1]] = t[:, 1:]
         n_of_t = _compose_rows(n_part[:, :n_k].copy(), h, p, k)
-        t = affine_step(np.eye(p, n_k, 1) - n_of_t)
-    if not np.isfinite(t).all():
+        t = affine_step(np.eye(p, n_k, 1, dtype=dtype) - n_of_t)
+    if not exact and not np.isfinite(t).all():
         raise DomainError("the inverse of the jet map overflows")
     base = tuple(s[:, 0])
-    return [MultiJet(p, order, row, base, exact=False) for row in t]
-
-
-def _invert_exact(jets, order):
-    """``invert_series`` on jets: the growing-order passes of exact mode."""
-    p = len(jets)
-    a = jets[0].basepoint
-    b = tuple(g.value() for g in jets)
-    lin = _linear_part_matrix(jets)
-    linv = _invert_matrix(lin, True)
-
-    # target-space coordinate jets
-    ys = [MultiJet.variable(j, p, order, b, exact=True) for j in range(p)]
-    y_shift = [ys[j] - b[j] for j in range(p)]
-
-    def affine_step(rhs):
-        out = []
-        for i in range(p):
-            acc = _const_like(rhs[0], a[i])
-            for j in range(p):
-                acc = acc + rhs[j] * linv[i][j]
-            out.append(acc)
-        return out
-
-    # nonlinear parts N_i = s_i - b_i - L(x - a)
-    xs = [MultiJet.variable(j, p, order, a, exact=True) for j in range(p)]
-    n_parts = []
-    for i in range(p):
-        lin_i = _const_like(xs[0], b[i] * 0)
-        for j in range(p):
-            lin_i = lin_i + (xs[j] - a[j]) * lin[i][j]
-        n_parts.append(jets[i] - b[i] - lin_i)
-
-    # growing order: pass k runs at order k on the order-(k-1) result padded
-    # with zeros, which cannot reach the order-k terms of N(t)
-    t_cur = affine_step([y.truncate(1) for y in y_shift])
-    for k in range(2, order + 1):
-        n = _tables.count(p, k)
-        t_in = [t._new(t.coeffs + [_zero_like(t.coeffs[0])] * (n - len(t.coeffs)), k, True)
-                for t in t_cur]
-        n_of_t = compose_many(n_parts, t_in)
-        t_cur = affine_step([y_shift[j] - n_of_t[j] for j in range(p)])
-    return t_cur
+    return [MultiJet(p, order, row, base, exact=exact) for row in t]
 
 
 def _invert_matrix(rows, exact):
+    """The inverse of a square matrix: an SVD-checked float64 array, or in
+    exact mode an object array over the entries' ring."""
     p = len(rows)
     if not exact:
         mat = np.asarray(rows, dtype=np.float64)
@@ -882,9 +781,10 @@ def _invert_matrix(rows, exact):
         return np.linalg.inv(mat)
     # exact Gauss-Jordan; pivots must be invertible (nonzero "real" part for
     # dual numbers), but elimination must clear every nonzero entry including
-    # pure-epsilon ones
-    aug = [list(r) + [_one_like(r[0]) if i == j else _zero_like(r[0])
-                      for j in range(p)] for i, r in enumerate(rows)]
+    # pure-epsilon ones.  The one and zero are r[0] * 0 + 1 and r[0] * 0, and a
+    # row is scaled by the pivot's exact reciprocal, so int entries stay exact.
+    aug = [list(r) + [r[0] * 0 + 1 if i == j else r[0] * 0 for j in range(p)]
+           for i, r in enumerate(rows)]
     for col in range(p):
         piv = None
         for r in range(col, p):
@@ -894,13 +794,13 @@ def _invert_matrix(rows, exact):
         if piv is None:
             raise SingularLinearPart("exact linear part is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [v / pval for v in aug[col]]
+        inv = _scalar_reciprocal(aug[col][col], True)
+        aug[col] = [v * inv for v in aug[col]]
         for r in range(p):
             if r != col and not _fully_zero(aug[r][col]):
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[p:] for row in aug]
+    return np.array([row[p:] for row in aug], dtype=object)
 
 
 def _exact_is_zero(x):

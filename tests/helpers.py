@@ -30,6 +30,19 @@ def val(x):
     return float(getattr(v, "re", v))
 
 
+def same_coeffs(got, want):
+    """Whether jet ``got`` has the coefficients of ``want``, a jet or a list.
+
+    Exact jets compare their values in order; float jets their bytes, so a
+    -0.0 or a NaN must match too.
+    """
+    mine = got.coeffs
+    theirs = want.coeffs if hasattr(want, "coeffs") else want
+    if got.exact:
+        return list(mine) == list(theirs)
+    return mine.tobytes() == np.asarray(theirs, dtype=np.float64).tobytes()
+
+
 def residuals(relations):
     """Float residual of each relation in a {name: terms} dict."""
     return {name: relation_residual(terms) for name, terms in relations.items()}

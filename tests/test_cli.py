@@ -515,3 +515,16 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "invariants" in proc.stdout
+
+
+@pytest.mark.parametrize("args,code", [(["--help"], 0), (["invariants", "--job"], 2)])
+def test_package_runs_as_a_module(tmp_path, args, code):
+    if args[-1] == "--job":
+        args = [*args, str(tmp_path / "missing.job")]
+    proc = subprocess.run([sys.executable, "-m", "sympinv", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert "invariants" in proc.stdout
+    else:
+        assert "cannot read job file" in proc.stderr

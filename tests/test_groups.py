@@ -262,6 +262,31 @@ class TestPushforward:
                 b = np.asarray(rhs.jets[name].coeffs, dtype=float)
                 assert np.allclose(a, b, rtol=1e-9, atol=1e-9)
 
+    def test_exact_pushforward_makes_no_kernel_call(self, monkeypatch):
+        from fractions import Fraction
+
+        from sympinv import jets
+        from sympinv.rational import Dual
+        from sympinv.symplectic import infinitesimal_point_map
+
+        calls = []
+        real = jets.mul_table
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(jets, "mul_table", counting)
+        chart = function_chart(1)
+        rng = np.random.default_rng(9)
+        (field, *_) = algebra_basis(chart.space, "sp")
+        pt = JetPoint.random(chart, 3, rng, exact=True)
+        out = pushforward(pt, infinitesimal_point_map(field, Dual(0, 1)))
+        assert calls == []
+        assert out.exact and all(isinstance(c, (Fraction, Dual, int)) for c in out.jets["u"].coeffs)
+        pushforward(JetPoint.random(chart, 3, rng), random_group_element(chart.space, "sp", 1))
+        assert calls  # the float pushforward runs the product kernel
+
     def test_float_pushforward_ignores_blas_thread_count(self):
         # p = 5 independent variables at order 6: the inversion composes 5
         # outers at once, where a BLAS gemm rounds by its thread count

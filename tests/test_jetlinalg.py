@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import same_coeffs
+
 from sympinv import _tables, jetlinalg
 from sympinv.jetlinalg import _PivotFailure, is_negligible, magnitude
 from sympinv.jets import MultiJet, _one_like, divide_all
@@ -88,11 +90,8 @@ def random_jet(rng, exact, order=3, nvars=2, base=(0.5, -0.25)):
 def assert_same_bits(got, want, exact):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert type(g) is type(w)
-        if exact:
-            assert g.coeffs == w.coeffs
-        else:
-            assert g.coeffs.tobytes() == w.coeffs.tobytes()
+        assert type(g) is type(w) and g.exact == w.exact == exact
+        assert same_coeffs(g, w)
         assert g.order == w.order and g.basepoint is w.basepoint
 
 

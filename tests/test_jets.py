@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympinv import _tables, jets
+from helpers import same_coeffs
+
+from sympinv import _tables, jets, kernels
 from sympinv.errors import (
     BasepointMismatch,
     DivisionByZeroJet,
@@ -268,7 +270,7 @@ class TestMultiJet:
         y = MultiJet.variable(1, 2, 3, base, exact=True)
         lhs = (x + y) * (x + y)
         rhs = x * x + 2 * x * y + y * y
-        assert lhs.coeffs == rhs.coeffs
+        assert same_coeffs(lhs, rhs)
 
     def test_total_derivative_of_square(self):
         x = MultiJet.variable(0, 1, 2, (1.5,))
@@ -359,7 +361,9 @@ def jet_level_passes(maps):
     exact = any(g.exact for g in maps)
     a = maps[0].basepoint
     b = tuple(g.value() for g in maps)
-    lin = jets._linear_part_matrix(maps)
+    pos = _tables.index_of(p, order)
+    lin = [[g.coeffs[pos[tuple(int(k == j) for k in range(p))]] for j in range(p)]
+           for g in maps]
     linv = jets._invert_matrix(lin, exact)
     ys = [MultiJet.variable(j, p, order, b, exact=exact) for j in range(p)]
     y_shift = [ys[j] - b[j] for j in range(p)]
@@ -537,7 +541,7 @@ class TestReplacedAlgorithms:
             if mode == "float":
                 assert_float_close(g.coeffs, want.coeffs)
             else:
-                assert g.coeffs == want.coeffs
+                assert same_coeffs(g, want)
 
     def test_compose_many_of_univariate_inner(self):
         """One-variable composition against the univariate Horner it replaced."""
@@ -550,7 +554,7 @@ class TestReplacedAlgorithms:
                     want = horner_compose(outer, inner)
                     assert got.order == want.order
                     if exact:
-                        assert got.coeffs == want.coeffs
+                        assert same_coeffs(got, want)
                     else:
                         assert_float_close(got.coeffs, want.coeffs)
 
@@ -563,7 +567,7 @@ class TestReplacedAlgorithms:
             want = fixed_point_inverse(maps)
             for g, w in zip(got, want):
                 assert g.order == w.order == order
-                assert g.coeffs == w.coeffs
+                assert same_coeffs(g, w)
                 assert g.basepoint == w.basepoint
 
     @pytest.mark.parametrize("p,order", [(1, 6), (2, 6), (3, 5), (4, 4), (5, 3), (5, 6)])
@@ -586,7 +590,7 @@ class TestReplacedAlgorithms:
                 (want,) = fixed_point_inverse([m])
                 assert got.order == order
                 if exact:
-                    assert got.coeffs == want.coeffs
+                    assert same_coeffs(got, want)
                 else:
                     assert_float_close(got.coeffs, want.coeffs)
 
@@ -597,7 +601,7 @@ class TestReplacedAlgorithms:
             for order in range(0, 7):
                 for _ in range(3):
                     exact = random_divisor(rng, p, order, "fraction")
-                    assert exact.reciprocal().coeffs == horner_reciprocal(exact).coeffs
+                    assert same_coeffs(exact.reciprocal(), horner_reciprocal(exact))
                     flt = random_divisor(rng, p, order, "float")
                     assert_float_close(flt.reciprocal().coeffs, horner_reciprocal(flt).coeffs)
 
@@ -606,12 +610,12 @@ class TestReplacedAlgorithms:
 
         x = uni([Dual(2, 1), Dual(Fraction(1, 3), -2), Dual(-1, 0), Dual(5, 7)], Fraction(0),
                 exact=True)
-        assert x.reciprocal().coeffs == horner_reciprocal(x).coeffs
+        assert same_coeffs(x.reciprocal(), horner_reciprocal(x))
         rng = np.random.default_rng(38)
         for p in (1, 2, 3):
             for order in range(0, 7 - p):
                 x = random_divisor(rng, p, order, "dual")
-                assert x.reciprocal().coeffs == horner_reciprocal(x).coeffs
+                assert same_coeffs(x.reciprocal(), horner_reciprocal(x))
 
     def test_univariate_reciprocal_is_the_taylor_recurrence(self):
         """In one variable the graded reciprocal has the scalar recurrence's bits."""
@@ -622,7 +626,7 @@ class TestReplacedAlgorithms:
                 want = np.array(taylor_reciprocal(flt.coeffs, False))
                 assert flt.reciprocal().coeffs.tobytes() == want.tobytes()
             exact = random_divisor(rng, 1, order, "fraction")
-            assert exact.reciprocal().coeffs == taylor_reciprocal(exact.coeffs, True)
+            assert same_coeffs(exact.reciprocal(), taylor_reciprocal(exact.coeffs, True))
 
 
 def full_table_compose_many(outers, inners):
@@ -690,7 +694,7 @@ class TestDegreeSuffixRows:
         outers, _ = random_composition(rng, p, min(order, 3), "fraction")
         inners = inners_in(rng, nvars, outers[0].basepoint, min(order, 3), exact=True)
         for got, outer in zip(jets.compose_many(outers, inners), outers):
-            assert got.coeffs == per_outer_compose(outer, inners).coeffs
+            assert same_coeffs(got, per_outer_compose(outer, inners))
 
 
 def signed_zero_map(rng, p, order, share):
@@ -827,6 +831,16 @@ class TestBasepoints:
             with pytest.raises(DomainError):
                 compose_many([outer], [inner])
 
+    def test_basepoint_length_is_the_variable_count(self):
+        # a shared basepoint object stands for the same variables, and
+        # compose_many checks one inner value per basepoint coordinate
+        with pytest.raises(ValueError, match="basepoint"):
+            MultiJet(2, 1, [1.0, 2.0, 3.0], (0.5,))
+        with pytest.raises(ValueError, match="basepoint"):
+            MultiJet(1, 1, [Fraction(1), Fraction(2)], (Fraction(0), Fraction(1)), exact=True)
+        with pytest.raises(ValueError, match="basepoint"):
+            MultiJet.variable(0, 2, 2, (0.5, 1.0, 0.0))
+
     def test_equal_distinct_basepoints_still_checked(self):
         a = MultiJet.variable(0, 2, 2, (0.5, 1.0))
         b = MultiJet.variable(1, 2, 2, tuple([0.5, 1.0]))
@@ -877,7 +891,7 @@ def test_arithmetic_results_keep_layout_and_basepoint(data):
         assert len(res.coeffs) == _tables.count(nvars, res.order)
         assert res.basepoint is left.basepoint
         assert res.exact == exact
-        assert isinstance(res.coeffs, list) if exact else res.coeffs.dtype == np.float64
+        assert res.coeffs.dtype == (object if exact else np.float64)
         acc = res
 
 
@@ -913,7 +927,7 @@ class TestGenericScalarHelpers:
         assert [jets._const_float(x) for x in (2, 0.5, Fraction(1, 4), Dual(3, 7), jet)] == \
             [2.0, 0.5, 0.25, 3.0, 1.5]
         one = jets._one_like(jet)
-        assert one.exact and one.coeffs == [Fraction(1), Fraction(0)]
+        assert one.exact and same_coeffs(one, [Fraction(1), Fraction(0)])
         assert jets._one_like(Dual(2, 5)) == Dual(1)
         assert jets._one_like(np.float64(2.0)) == 1.0
         assert jets._is_exact([1.0, Dual(1)]) and jets._is_exact([0.5, jet])
@@ -936,55 +950,63 @@ def edge_coeffs(rng, n, big=1e150):
 
 def rebased(x):
     """x on an equal but distinct basepoint tuple, which sends operations
-    with x through ``_coerce``."""
+    with x through the basepoint check."""
     base = tuple(float(b) for b in x.basepoint)
     assert base == x.basepoint and base is not x.basepoint
     return MultiJet(x.nvars, x.order, x.coeffs.copy(), base)
 
 
+def general_path(name, a, b):
+    """Coefficients of float ``a name b`` as the general path computed them:
+    a jet operand truncated to the lower order, ``a - b`` as ``a + (-b)``,
+    a scalar b added to the constant term or multiplying every coefficient."""
+    x = a.coeffs.copy()
+    if not isinstance(b, MultiJet):
+        if name == "*":
+            return x * float(b)
+        x[0] = x[0] + (-1 * b if name == "-" else b)
+        return x
+    order = min(a.order, b.order)
+    n = _tables.count(a.nvars, order)
+    x, y = x[:n], b.coeffs[:n]
+    if name == "*":
+        return kernels.mul_table(x, y, *_tables.product_table(a.nvars, order), n)
+    return x + (-y if name == "-" else y)
+
+
 class TestDirectFloatPaths:
-    """Float jets at one basepoint object take the direct path of ``+ - neg *``;
-    the general path through ``_coerce`` is the reference, bit for bit."""
+    """Float ``+ - neg *`` keep the bits of the general path that truncated
+    both operands first, on shared and on equal but distinct basepoints."""
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_direct_path_has_the_general_paths_bits(self, p, monkeypatch):
+    def test_direct_path_has_the_general_paths_bits(self, p):
         rng = np.random.default_rng(700 + p)
         base = tuple(rng.uniform(-1, 1, size=p))
         pairs = [(ka, kb) for ka in range(7) for kb in range(7)]
         jets_ = {k: MultiJet(p, k, edge_coeffs(rng, _tables.count(p, k)), base)
                  for k in range(7)}
+        scalars = [0.0, -0.0, 2.5, -3, 1e150, Fraction(1, 3)]
         for ka, kb in pairs:
-            a, b = jets_[ka], jets_[kb]
-            want = {name: op(rebased(a), b) for name, op in
-                    (("+", operator.add), ("-", operator.sub), ("*", operator.mul))}
-            with monkeypatch.context() as m:
-                m.setattr(MultiJet, "_coerce", None)  # the direct path never coerces
-                got = {"+": a + b, "-": a - b, "*": a * b}
-            for name, g in got.items():
-                w = want[name]
-                assert g.order == w.order == min(ka, kb), name
-                assert g.basepoint is a.basepoint and not g.exact
-                assert g.coeffs.dtype == np.float64 and g.coeffs.flags.c_contiguous
-                assert g.coeffs.tobytes() == w.coeffs.tobytes(), (name, ka, kb)
-            neg = -a
-            assert neg.basepoint is a.basepoint and neg.order == ka
-            assert neg.coeffs.tobytes() == (a * -1.0).coeffs.tobytes()
-
-    def test_other_operands_keep_the_general_path(self, monkeypatch):
-        calls = []
-        real = MultiJet._coerce
-
-        def counting(self, other):
-            calls.append(other)
-            return real(self, other)
-
-        monkeypatch.setattr(MultiJet, "_coerce", counting)
-        a = MultiJet(2, 2, np.arange(6.0) + 1, (0.5, 1.0))
-        exact = MultiJet(2, 2, [Fraction(k + 1) for k in range(6)], a.basepoint, exact=True)
-        for other in (rebased(a), exact, 2.0):
-            for op in (operator.add, operator.sub, operator.mul):
-                op(a, other)
-        assert len(calls) == 9
+            b = jets_[kb]
+            for a in (jets_[ka], rebased(jets_[ka])):
+                for name, op in _OPS.items():
+                    if name == "/":
+                        continue
+                    g = op(a, b)
+                    assert g.order == min(ka, kb), name
+                    assert g.basepoint is a.basepoint and not g.exact
+                    assert g.coeffs.dtype == np.float64 and g.coeffs.flags.c_contiguous
+                    assert g.coeffs.tobytes() == general_path(name, a, b).tobytes(), \
+                        (name, ka, kb)
+                    if kb == 0:
+                        for c in scalars:
+                            g = op(a, c)
+                            assert g.order == ka and g.basepoint is a.basepoint
+                            assert g.coeffs.tobytes() == general_path(name, a, c).tobytes(), \
+                                (name, ka, c)
+                neg = -a
+                assert neg.basepoint is a.basepoint and neg.order == ka
+                assert neg.coeffs.tobytes() == (a * -1.0).coeffs.tobytes()
 
     def test_univariate_reciprocal_is_the_plan_recurrence(self):
         """The scalar loop against the ``np.bincount`` recurrence of
@@ -1053,7 +1075,68 @@ class TestPowers:
             want = functools.reduce(operator.mul, [x] * k) if k else None
             assert got.exact
             assert not any(isinstance(c, float) for c in got.coeffs), k
-            assert got.coeffs == (want.coeffs if k else [1, 0, 0])
+            assert same_coeffs(got, want if k else [1, 0, 0])
         one = jets._one_like(x)
-        assert one.exact and one.coeffs == [1, 0, 0]
+        assert one.exact and same_coeffs(one, [1, 0, 0])
         assert all(type(c) is int for c in one.coeffs)
+
+
+def ring_jet(rng, kind, p, order, base, linear=None):
+    """An exact jet in p variables over ``int``, ``Fraction`` or ``Dual``
+    coefficients, with a nonzero constant term, or with the given linear part
+    and a zero constant term."""
+    from sympinv.rational import Dual
+
+    n = _tables.count(p, order)
+    vals = [int(v) for v in rng.integers(-3, 4, size=n)]
+    vals[0] = int(rng.choice([-2, -1, 1, 2, 3]))
+    if linear is not None:
+        vals[0] = 0
+        vals[1:p + 1] = linear
+    if kind == "fraction":
+        vals = [Fraction(v, int(rng.integers(1, 4))) for v in vals]
+    elif kind == "dual":
+        vals = [Dual(v, int(rng.integers(-2, 3))) for v in vals]
+    return MultiJet(p, order, vals, base, exact=True)
+
+
+class TestExactRing:
+    """Exact jets stay in the ring of their coefficients."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "dual"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_no_result_holds_a_float(self, kind, p):
+        rng = np.random.default_rng(1000 + 10 * p + len(kind))
+        base = tuple(range(p)) if kind == "int" else tuple(Fraction(k, 2) for k in range(p))
+        x = ring_jet(rng, kind, p, 3, base)
+        y = ring_jet(rng, kind, p, 2, base)
+        # a diagonally dominant linear part, so the map inverts
+        maps = [ring_jet(rng, kind, p, 3, base,
+                         [3 if i == j else int(rng.integers(-1, 2)) for j in range(p)])
+                for i in range(p)]
+        inv = invert_series(maps)
+        results = [x + y, x - y, x * y, x / y, y / x, -x, x ** 2, x ** 0, x ** -1,
+                   x.partial(p - 1), x.reciprocal(), x + 2, x - 2, 2 - x, x * 3, x / 3,
+                   3 / x, *inv, *compose_many([x, y], inv), *compose_many(maps, inv)]
+        for r in results:
+            assert r.exact and r.coeffs.dtype == object
+            assert not any(isinstance(c, float) for c in r.coeffs), r
+        # the maps composed with their inverse are the coordinate jets at the image
+        image = inv[0].basepoint
+        for j, g in enumerate(compose_many(maps, inv)):
+            assert same_coeffs(g, MultiJet.variable(j, p, 3, image, exact=True))
+
+    def test_exact_inverse_of_int_entries_keeps_the_ring(self):
+        from sympinv.rational import Dual
+
+        m = MultiJet(1, 3, [Fraction(2), 1, Fraction(1, 2), 0], (Fraction(0),), exact=True)
+        (inv,) = invert_series([m])
+        assert same_coeffs(inv, [0, 1, Fraction(-1, 2), Fraction(1, 2)])
+        assert all(type(c) is Fraction for c in inv.coeffs)
+        linv = jets._invert_matrix([[1, 2], [3, Fraction(1, 2)]], True)
+        assert [list(row) for row in linv] == [[Fraction(-1, 11), Fraction(4, 11)],
+                                               [Fraction(6, 11), Fraction(-2, 11)]]
+        assert all(type(v) is Fraction for row in linv for v in row)
+        d = MultiJet(1, 3, [Dual(2), 1, Fraction(1, 2), 0], (Fraction(0),), exact=True)
+        (inv,) = invert_series([d])
+        assert same_coeffs(inv, [0, 1, Fraction(-1, 2), Fraction(1, 2)])
