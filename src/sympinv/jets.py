@@ -16,12 +16,13 @@ The coefficients are one 1-D numpy array, in one of two dtypes:
 
 Truncated Taylor arithmetic is an operation on coefficient vectors, whatever
 the scalar ring (Griewank and Walther, *Evaluating Derivatives*, 2nd ed.,
-ch. 13), so every operation has one code path for both dtypes.  They differ
-only where numpy does: a float product calls the ``mul_table`` kernel of
+ch. 13), so every operation has one code path for both dtypes.  The modes
+differ where the scalars do: a float product calls the ``mul_table`` kernel of
 :mod:`sympinv.kernels`, which this module looks up at call time, while an
 object product sums its pairs with ``np.add.at`` onto the int 0, which keeps
 the ring of its terms; a scalar operand of a float jet goes through
-``float()``; and the zero-divisor and finiteness tests are float tests.
+``float()``; an exact derivative scales by int, not float, multipliers; and
+the near-zero-divisor and finiteness tests are float tests.
 Every downstream invariant evaluator is written against ordinary ``+ - * /``
 scalars, so the same formula runs on numbers and on jets of either mode.
 
