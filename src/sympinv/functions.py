@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DegenerateJet, FrameDegeneracy
 from .geometry import Derivation
 from .jetlinalg import magnitude
-from .jets import _const_float, _matvec, _sum
+from .jets import _const_float, _decide, _matvec, _sum
 
 
 def _coordinate_jets(point):
@@ -133,10 +133,13 @@ def derivations_general(point):
         cur = endomorphism_apply(point, cur)
         out.append(cur)
     mat = np.array([[_const_float(c) for c in d.coeffs] for d in out])
+    if mat.ndim == 3:  # a batch: one matrix per column
+        mat = np.moveaxis(mat, 2, 0)
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= 1e-9 * max(sv[0], 1e-300):
+    small, large = sv[..., -1], np.maximum(sv[..., 0], 1e-300)
+    if _decide(small <= 1e-9 * large):
         raise FrameDegeneracy(
-            f"derivation frame rank-deficient (relative sv {sv[-1]/max(sv[0],1e-300):.2e})")
+            f"derivation frame rank-deficient (relative sv {np.min(small / large):.2e})")
     return out
 
 

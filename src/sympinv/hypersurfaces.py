@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DegenerateJet, StepDegenerate
 from .geometry import Derivation
 from .jetlinalg import _PivotFailure, is_negligible, kernel_vector, magnitude, solve
-from .jets import _const_float, _one_like, _sum, divide_all
+from .jets import _argmax, _const_float, _gather, _gather_rows, _max, _one_like, _sum, divide_all
 
 
 class HyperFrame:
@@ -146,12 +146,16 @@ def _combine(coeffs, basis):
 def _reduce_space(working, rho, step):
     """Sub-basis of {w : rho(w) = 0} via the largest-pivot reduction."""
     mags = [magnitude(r) for r in rho]
-    piv = int(np.argmax(mags))
-    if is_negligible(rho[piv], max(mags)):
+    piv = _argmax(mags)
+    pivot = _gather(piv, rho)
+    if is_negligible(pivot, _max(mags)):
         raise StepDegenerate(step, "cutting functional vanishes on the working space")
-    rest = [i for i in range(len(working)) if i != piv]
-    factors = divide_all([rho[i] for i in rest], rho[piv])
-    return [[a - f * b for a, b in zip(working[i], working[piv])]
+    # the rows other than the pivot's, in order (per batch column: rest[m] is
+    # row m before the column's pivot and row m + 1 from it on)
+    rest = [m + (piv <= m) for m in range(len(working) - 1)]
+    factors = divide_all([_gather(i, rho) for i in rest], pivot)
+    w_piv = _gather_rows(piv, working)
+    return [[a - f * b for a, b in zip(_gather_rows(i, working), w_piv)]
             for i, f in zip(rest, factors)]
 
 

@@ -2,12 +2,18 @@
 
 Used by the frame constructions: entries are series along a submanifold, so
 pivoting decisions look only at constant terms.  Callers translate the raised
-``_PivotFailure`` into their geometry-specific degeneracy errors.
+``_PivotFailure`` into their geometry-specific degeneracy errors.  On batched
+jets each negligibility test must agree across the batch columns, or
+``jets._Split`` sends the batch to the per-sample loop; a pivot row may differ
+from column to column (``_swap``).
 """
 
 from __future__ import annotations
 
-from .jets import _const_float, _is_exact, _is_jet, _one_like, divide_all
+import numpy as np
+
+from .jets import (_const_float, _decide, _first_above, _gather, _gather_rows, _is_exact,
+                   _is_jet, _max, _one_like, divide_all)
 
 
 class _PivotFailure(Exception):
@@ -22,7 +28,7 @@ def magnitude(x):
 def is_negligible(x, scale=1.0, tol=1e-10):
     if _is_exact([x]):
         return _const_float(x) == 0
-    return abs(_const_float(x)) <= tol * max(scale, 1e-30)
+    return _decide(abs(_const_float(x)) <= tol * _max((scale, 1e-30)))
 
 
 def _row_reduce(a, ncols, tol):
@@ -30,19 +36,20 @@ def _row_reduce(a, ncols, tol):
     `ncols` columns, pivoting on constant-term magnitude; a column whose best
     pivot is negligible against the largest entry of `a` is skipped.  Returns
     the pivot columns in order: row i ends with a 1 in the i-th of them and
-    0 in the others."""
-    scale = max((magnitude(e) for r in a for e in r), default=1.0)
+    0 in the others.  Batch columns that pivot on different rows each swap
+    their own (``_swap``), so every column runs the elimination it would run
+    alone."""
+    mags = [magnitude(e) for r in a for e in r]
+    scale = _max(mags) if mags else 1.0
     piv_cols = []
     row = 0
     for col in range(ncols):
-        piv, piv_mag = None, 0.0
-        for r in range(row, len(a)):
-            m = magnitude(a[r][col])
-            if m > piv_mag:
-                piv, piv_mag = r, m
-        if piv is None or is_negligible(a[piv][col], scale, tol):
+        piv = _first_above([magnitude(a[r][col]) for r in range(row, len(a))], 0.0)
+        if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
+        if is_negligible(_gather(piv, [r[col] for r in a[row:]]), scale, tol):
+            continue
+        _swap(a, row, piv + row)
         a[row] = divide_all(a[row], a[row][col])
         for r in range(len(a)):
             if r != row:
@@ -53,6 +60,20 @@ def _row_reduce(a, ncols, tol):
         if row == len(a):
             break
     return piv_cols
+
+
+def _swap(a, row, piv):
+    """Exchange rows ``row`` and ``piv`` of ``a``; for a pivot index per batch
+    column, in each column the rows of its own pivot."""
+    if isinstance(piv, int):
+        a[row], a[piv] = a[piv], a[row]
+        return
+    top = a[row]
+    a[row] = _gather_rows(piv - row, a[row:])
+    for r in range(row + 1, len(a)):
+        hit = piv == r
+        if hit.any():
+            a[r] = _gather_rows(hit.astype(np.intp), [a[r], top])
 
 
 def solve(rows, rhs, tol=1e-10):

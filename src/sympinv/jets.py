@@ -7,7 +7,7 @@ order.  Every jet is a `MultiJet`: a curve's jets are the one-variable ones,
 ``MultiJet(1, order, coeffs, (t0,))``, whose coefficient k is f^(k)(t0)/k!, and
 d/dt is ``partial(0)``.
 
-The coefficients are one 1-D numpy array, in one of two dtypes:
+The coefficients of one jet are one 1-D numpy array, in one of two dtypes:
 
 * float mode - ``float64``;
 * exact mode - ``object``, holding elements of a field (``int`` and
@@ -16,13 +16,16 @@ The coefficients are one 1-D numpy array, in one of two dtypes:
 
 Truncated Taylor arithmetic is an operation on coefficient vectors, whatever
 the scalar ring (Griewank and Walther, *Evaluating Derivatives*, 2nd ed.,
-ch. 13), so every operation has one code path for both dtypes.  The modes
-differ where the scalars do: a float product calls the ``mul_table`` kernel of
-:mod:`sympinv.kernels`, which this module looks up at call time, while an
-object product sums its pairs with ``np.add.at`` onto the int 0, which keeps
-the ring of its terms; a scalar operand of a float jet goes through
-``float()``; an exact derivative scales by int, not float, multipliers; and
-the near-zero-divisor and finiteness tests are float tests.
+ch. 13), so every operation has one code path for both dtypes.  The two
+modes never combine: an operation, composition or inversion with a float and
+an exact operand raises ``TypeError``.  The modes differ where the scalars
+do: a float product calls the ``mul_table`` kernel of :mod:`sympinv.kernels`,
+which this module looks up at call time, while an object product sums its
+pairs with ``np.add.at`` onto the int 0, which keeps the ring of its terms; a
+scalar operand of a float jet goes through ``float()``; an exact derivative
+scales by int, not float, multipliers; the near-zero-divisor and finiteness
+tests are float tests, and an exact divisor is zero when the real part of its
+constant term is (a ``Dual(0, e)`` too).
 Every downstream invariant evaluator is written against ordinary ``+ - * /``
 scalars, so the same formula runs on numbers and on jets of either mode.
 
@@ -61,14 +64,46 @@ the bits of the whole-table product.  ``invert_series`` runs its
 growing-order passes on one (p, ncoeff) array and builds the p result jets
 once at the end.
 
+A float jet may also be a batch of B jets at B basepoints ("vector forward
+mode", Griewank and Walther, ch. 13): coefficients of shape (ncoeff, B), the
+batch axis last, and a basepoint of column arrays, one (B,) array per
+coordinate.  ``len(a)``, ``a[:n]`` and ``a[0]`` keep their meaning, so
+``+ - neg``, scalar operations and the unbatched path run the same code.  A
+scalar operand may be a column array (one float per column).  Column c of
+every result has the bits of the same operation on jet c alone: the
+elementwise IEEE operations are the same, a product is one bincount over the
+slots ``pr * B + column`` (``kernels.mul_table``), a derivative scales by
+``mult[:, None]``, the one-variable reciprocal runs the Taylor recurrence on
+rows, ``_analytic`` and ``_binomial_series`` compute their series per column
+with ``math`` on Python floats (numpy's vector ``exp``/``power`` may round
+differently), and ``compose_many`` and ``invert_series`` carry the batch axis
+through ``np.einsum`` and a stack of SVDs and inverses.  A batch never mixes
+with an unbatched jet or one of another width (``TypeError``): batched
+constructors take the width from the basepoint, and ``_check_operand``
+compares the widths of jets at different basepoint objects.  Exact jets are
+never batched.
+
+A batch branches where a single jet would: the zero-divisor, finiteness and
+basepoint tests, the domain checks of ``log``, ``sqrt`` and rational powers,
+and, in the frames, ``jetlinalg.is_negligible``, pivot choices and rank
+tests.  ``_decide`` takes such a condition per column: when every column
+agrees the batch goes on as one (and raises for all of them), and when they
+differ it raises the private ``_Split``, on which the sampler evaluates its
+chunk one sample at a time.  A pivot choice that differs across columns does
+not split: ``_gather`` takes each column's own row, at the lowest order of
+the candidates (a truncation that keeps every remaining coefficient's bits).
+A per-column scalar computation that raises splits too (``_per_column``).
+
 The frames do linear algebra over one ring of scalars (floats, fractions,
 duals or jets of either mode), and this module keeps the helpers they share:
 ``_sum`` (a left-to-right sum), ``_matvec`` (a float matrix times a vector of
 scalars, skipping zero entries), ``_const_float`` (the float of a constant
-term, the real part of a dual), ``_one_like`` (the ring's one) and
-``_is_exact``.  A sum is seeded with its first term, never with 0, because
-``0.0 + (-0.0)`` is ``+0.0``; and every product keeps its operand order,
-because a jet product sums its pairs in table order.  The helpers are
+term, the real part of a dual, a column array for a batch), ``_one_like``
+(the ring's one), ``_is_exact`` and the batch helpers ``_decide``, ``_max``,
+``_argmax``, ``_first_above`` and ``_gather``.  A sum is seeded with its
+first term, never with 0, because ``0.0 + (-0.0)`` is ``+0.0``; and every
+product keeps its operand order, because a jet product sums its pairs in
+table order.  The helpers are
 private: the benchmark's tracer wraps every public function of the frame
 modules that import them.
 """
@@ -86,10 +121,11 @@ from .errors import (
     BasepointMismatch,
     DivisionByZeroJet,
     DomainError,
+    JetError,
     OrderExhausted,
     SingularLinearPart,
 )
-from .kernels import mul_table
+from .kernels import mul_table, slot_sums
 from .rational import Dual
 
 _DIV_FLOOR = 1e-300  # constant terms below this are machine-degenerate divisors
@@ -99,17 +135,81 @@ def _is_plain_number(x):
     return isinstance(x, (int, float, np.integer, np.floating))
 
 
+# --- batches -------------------------------------------------------------------
+
+class _Split(Exception):
+    """A branch point whose batch columns disagree.
+
+    Not a ``JetError``: no degeneracy handler catches it, and the sampler
+    answers it by evaluating the chunk one sample at a time.
+    """
+
+
+def _is_batch(x):
+    """Whether x is a float array: batched coefficients or one float per column."""
+    return isinstance(x, np.ndarray) and x.dtype == np.float64
+
+
+def _batch_width(basepoint):
+    """B for a basepoint of column arrays (a batch of B jets), else None."""
+    first = basepoint[0] if basepoint else None
+    return len(first) if isinstance(first, np.ndarray) else None
+
+
+def _decide(cond):
+    """A branch condition: a bool, or a bool array with one entry per batch
+    column, which must agree (``_Split`` otherwise)."""
+    if isinstance(cond, np.ndarray):
+        if cond.all():
+            return True
+        if cond.any():
+            raise _Split
+        return False
+    return cond
+
+
+def _nonfinite(x):
+    """Whether a float, or every column of a column array, is NaN or infinite."""
+    if isinstance(x, np.ndarray):
+        return _decide(~np.isfinite(x))
+    return not math.isfinite(x)
+
+
+def _has_nonfinite(rows):
+    """Whether (p, ncoeff) rows hold a NaN or an infinity; for a batch
+    (p, ncoeff, B), whether every column does (``_Split`` if only some do)."""
+    if rows.ndim == 2:
+        return not np.isfinite(rows).all()
+    return _decide(~np.isfinite(rows).all(axis=(0, 1)))
+
+
+def _per_column(fn, column):
+    """``[fn(c) for c in column]`` on the Python floats of a column array.
+
+    An unbatched jet computes these scalars with ``math`` on floats; numpy's
+    vector kernels for the same functions may round differently.  A column
+    where fn raises sends the chunk to the per-sample loop.
+    """
+    try:
+        return [fn(c) for c in column.tolist()]
+    except (ArithmeticError, ValueError, JetError) as err:
+        raise _Split from err
+
+
 def _same_base(a, b, exact):
     if exact:
         return a == b
-    return abs(a - b) <= 1e-9 * (1.0 + abs(a) + abs(b))
+    return _decide(abs(a - b) <= 1e-9 * (1.0 + abs(a) + abs(b)))
 
 
 def _check_basepoint(basepoint):
     """Reject NaN and infinite coordinates, which no basepoint check would catch
     once both operands share the basepoint object."""
     for c in basepoint:
-        if _is_plain_number(c) and not math.isfinite(c):
+        if _is_plain_number(c):
+            if not math.isfinite(c):
+                raise DomainError(f"non-finite basepoint {basepoint!r}")
+        elif _is_batch(c) and _decide(~np.isfinite(c)):
             raise DomainError(f"non-finite basepoint {basepoint!r}")
 
 
@@ -128,21 +228,27 @@ class MultiJet:
     """Dense truncated series in one or several variables over graded-lex monomials."""
 
     __slots__ = ("nvars", "order", "coeffs", "basepoint", "exact")
+    # numpy defers to the jet's reflected operator, so column array * jet
+    # is a batched jet, not an object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, nvars, order, coeffs, basepoint, exact=None):
         self.nvars = nvars
         self.order = order
         if exact is None:
-            exact = not all(_is_plain_number(c) for c in coeffs)
+            exact = not (_is_batch(coeffs) or all(_is_plain_number(c) for c in coeffs))
         if exact:
             self.coeffs = np.array(coeffs, dtype=object)
         else:
             self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        if self.coeffs.shape != (_tables.count(nvars, order),):
-            raise ValueError("coefficient vector does not match the dense layout")
         self.basepoint = tuple(basepoint)
         if len(self.basepoint) != nvars:
             raise ValueError(f"basepoint {self.basepoint!r} of a jet in {nvars} variables")
+        n = _tables.count(nvars, order)
+        width = _batch_width(self.basepoint)
+        layout = (n,) if width is None else (n, width)
+        if self.coeffs.shape != layout or exact and width is not None:
+            raise ValueError("coefficient vector does not match the dense layout")
         _check_basepoint(self.basepoint)
         self.exact = exact
 
@@ -152,6 +258,12 @@ class MultiJet:
     def constant(cls, value, nvars, order, basepoint, exact=False):
         zero = value * 0
         n = _tables.count(nvars, order)
+        width = _batch_width(basepoint)
+        if width is not None:  # value: a float or one per column
+            coeffs = np.empty((n, width))
+            coeffs[0] = value
+            coeffs[1:] = zero
+            return cls(nvars, order, coeffs, basepoint, exact=False)
         return cls(nvars, order, [value] + [zero] * (n - 1), basepoint,
                    exact=exact or not _is_plain_number(value))
 
@@ -160,7 +272,8 @@ class MultiJet:
         one = Fraction(1) if exact else 1.0
         zero = one * 0
         n = _tables.count(nvars, order)
-        coeffs = [zero] * n
+        width = _batch_width(basepoint)
+        coeffs = [zero] * n if width is None else np.zeros((n, width))
         coeffs[0] = basepoint[i]
         if order >= 1:
             pos = _tables.index_of(nvars, order)[
@@ -209,9 +322,12 @@ class MultiJet:
         if self.order < 1:
             raise OrderExhausted("cannot differentiate an order-0 jet")
         src, mult = _tables.partial_table(self.nvars, self.order, direction)
+        coeffs = self.coeffs[src]
         if self.exact:
             mult = mult.astype(np.int64)  # a float multiplier makes a float coefficient
-        return self._new(self.coeffs[src] * mult, self.order - 1, self.exact)
+        elif coeffs.ndim == 2:
+            mult = mult[:, None]
+        return self._new(coeffs * mult, self.order - 1, self.exact)
 
     def __repr__(self):
         return (f"MultiJet(nvars={self.nvars}, order={self.order}, "
@@ -235,12 +351,25 @@ class MultiJet:
 
     def _check_operand(self, other):
         """Raise unless ``other``, a jet at another basepoint object, has this
-        jet's variables and an equal basepoint."""
+        jet's variables, mode and batch width and an equal basepoint."""
         if other.nvars != self.nvars:
             raise TypeError("variable counts differ")
-        exact = self.exact or other.exact
-        if not all(_same_base(a, b, exact) for a, b in zip(self.basepoint, other.basepoint)):
+        if other.exact != self.exact:
+            raise TypeError("a float jet and an exact jet do not mix")
+        if other.coeffs.shape[1:] != self.coeffs.shape[1:]:
+            raise TypeError("batch widths differ")
+        if not all(_same_base(a, b, self.exact)
+                   for a, b in zip(self.basepoint, other.basepoint)):
             raise BasepointMismatch(f"basepoints {self.basepoint!r} and {other.basepoint!r}")
+
+    def _scalar(self, x):
+        """A scalar operand of a float jet as a float, or for a batched jet a
+        column array (one float per column)."""
+        if isinstance(x, np.ndarray):
+            if x.shape != self.coeffs.shape[1:]:
+                raise TypeError("a column array needs a batched jet of its width")
+            return x
+        return float(x)
 
     def __add__(self, other):
         if isinstance(other, MultiJet):
@@ -251,7 +380,8 @@ class MultiJet:
                 return self._new(a + b[:len(a)], self.order, self.exact or other.exact)
             return self._new(a[:len(b)] + b, other.order, self.exact or other.exact)
         coeffs = self.coeffs.copy()
-        coeffs[0] = coeffs[0] + (other if self.exact else float(other))
+        coeffs[0] = coeffs[0] + (other if self.exact or type(other) is float
+                                 else self._scalar(other))
         return self._new(coeffs, self.order, self.exact)
 
     __radd__ = __add__
@@ -268,7 +398,8 @@ class MultiJet:
                 return self._new(a - b[:len(a)], self.order, self.exact or other.exact)
             return self._new(a[:len(b)] - b, other.order, self.exact or other.exact)
         coeffs = self.coeffs.copy()
-        coeffs[0] = coeffs[0] - (other if self.exact else float(other))
+        coeffs[0] = coeffs[0] - (other if self.exact or type(other) is float
+                                 else self._scalar(other))
         return self._new(coeffs, self.order, self.exact)
 
     def __rsub__(self, other):
@@ -289,8 +420,9 @@ class MultiJet:
             if self.exact or other.exact:
                 return self._new(_mul_object(a, b, pi, pj, pr, n), order, True)
             return self._new(mul_table(a, b, pi, pj, pr, n), order, False)
-        return self._new(self.coeffs * (other if self.exact else float(other)),
-                         self.order, self.exact)
+        if not (self.exact or type(other) is float):
+            other = self._scalar(other)
+        return self._new(self.coeffs * other, self.order, self.exact)
 
     __rmul__ = __mul__
 
@@ -307,27 +439,30 @@ class MultiJet:
 
         r_0 = 1/a_0 and r_d = -(sum_{e>=1} a_e r_{d-e})_d / a_0, over the
         pairs of ``_tables.reciprocal_plan``: O(one product) work and no
-        intermediate jets.  Each degree's sum is one ``np.bincount`` in float
-        mode and one ``_mul_object`` in exact mode.  In one variable the pairs
-        of degree k are (i, k - i), i = 1..k, so float mode runs the scalar
-        Taylor recurrence r_k = -(0.0 + a_1 r_{k-1} + ... + a_k r_0) / a_0 on
-        Python floats (``_taylor_reciprocal``): the same sum from the same
-        +0.0 in the same order, so the same bits.
+        intermediate jets.  Each degree's sum is one ``kernels.slot_sums`` in
+        float mode and one ``_mul_object`` in exact mode.  In one variable the
+        pairs of degree k are (i, k - i), i = 1..k, so float mode runs the
+        scalar Taylor recurrence r_k = -(0.0 + a_1 r_{k-1} + ... + a_k r_0) / a_0
+        on Python floats, or on coefficient rows for a batch
+        (``_taylor_reciprocal``): the same sum from the same +0.0 in the same
+        order, so the same bits.  An exact constant term is a zero divisor
+        when its real part is zero (``_exact_is_zero``).
         """
         a = self.coeffs
         c0 = a[0]
-        if c0 == 0 or not self.exact and abs(c0) < _DIV_FLOOR:
+        if _exact_is_zero(c0) if self.exact else _decide(abs(c0) < _DIV_FLOOR):
             raise DivisionByZeroJet(f"divisor constant term {c0!r}")
         if self.nvars == 1 and not self.exact:
-            return self._new(np.array(_taylor_reciprocal(a.tolist())), self.order, False)
-        r = np.empty(len(a), dtype=a.dtype)
+            rows = a.tolist() if a.ndim == 1 else list(a)
+            return self._new(np.array(_taylor_reciprocal(rows)), self.order, False)
+        r = np.empty_like(a)
         r[0] = _scalar_reciprocal(c0, self.exact)
         start = 1
         for pi, pj, pr, width in _tables.reciprocal_plan(self.nvars, self.order):
             if self.exact:
                 s = _mul_object(a, r, pi, pj, pr, width)
             else:
-                s = np.bincount(pr, weights=a[pi] * r[pj], minlength=width)
+                s = slot_sums(pr, a[pi] * r[pj], width)
             r[start:start + width] = -s / c0
             start += width
         return self._new(r, self.order, self.exact)
@@ -356,11 +491,16 @@ def _scalar_reciprocal(x, exact):
         return Fraction(1, 1) / x
     if hasattr(x, "reciprocal"):
         return x.reciprocal()
+    if isinstance(x, np.ndarray):
+        if _decide(x == 0):
+            raise ZeroDivisionError("float division by zero")
+        return 1.0 / x
     return 1.0 / float(x)
 
 
 def _taylor_reciprocal(a):
-    """Coefficients of 1/f in one variable from those of f, as Python floats.
+    """Coefficients of 1/f in one variable from those of f: Python floats, or
+    the coefficient rows of a batch.
 
     ``np.bincount`` sums a degree's pairs a_i r_{k-i}, i = 1..k, in that
     order onto +0.0, and so does this loop; ``-s / a_0`` is the last step of
@@ -383,11 +523,10 @@ def _one_like(x):
     with ``int`` coefficients gets the exact ``1``.
     """
     if isinstance(x, MultiJet):
-        c0 = x.coeffs[0]
-        return _const_like(x, c0 * 0 + 1 if x.exact else _one_like(c0))
+        return _const_like(x, x.coeffs[0] * 0 + 1 if x.exact else 1.0)
     if isinstance(x, Fraction):
         return Fraction(1)
-    if _is_plain_number(x):
+    if _is_plain_number(x) or _is_batch(x):
         return 1.0
     return x * 0 + 1
 
@@ -411,9 +550,95 @@ def _matvec(matrix, vec):
 
 
 def _const_float(x):
-    """The float of the constant term of a scalar or jet; a dual gives its real part."""
+    """The float of the constant term of a scalar or jet; a dual gives its real
+    part, and a batched jet or a column array one float per column."""
     c = x.coeffs[0] if isinstance(x, MultiJet) else x
+    if isinstance(c, np.ndarray):
+        return c
     return float(getattr(c, "re", c))
+
+
+def _max(values):
+    """``max(values)``, the first value that no later one exceeds under ``>``;
+    with column arrays among them, that value for each column."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            break
+    else:
+        return max(values)
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
+
+
+def _argmax(values):
+    """The index of the first largest value, as ``np.argmax`` finds it (a NaN
+    counts as largest); for column arrays, one index per column, or one int
+    when the columns agree."""
+    return _agreed(np.argmax(values, axis=0))
+
+
+def _first_above(values, floor):
+    """The index of the first value above ``floor`` and every earlier value,
+    the scan ``if v > best`` keeps, or None if no value exceeds ``floor``.
+
+    For column arrays: one index per column, or one int (or None) when the
+    columns agree; columns that disagree on None raise ``_Split``.
+    """
+    if not any(isinstance(v, np.ndarray) for v in values):
+        found, best = None, floor
+        for i, v in enumerate(values):
+            if v > best:
+                found, best = i, v
+        return found
+    found, best = -1, floor
+    for i, v in enumerate(values):
+        above = v > best
+        found = np.where(above, i, found)
+        best = np.where(above, v, best)
+    if _decide(found < 0):
+        return None
+    return _agreed(found)
+
+
+def _agreed(index):
+    """An int for a scalar index or a column array of one value, else the array."""
+    if index.ndim and (index != index[0]).any():
+        return index
+    return int(index.flat[0])
+
+
+def _gather(index, options):
+    """``options[index]``; for an index per batch column, the column-wise choice.
+
+    The options are batched jets, or floats and column arrays.  Jets are
+    chosen at the lowest order among them: truncation keeps the bits of every
+    remaining coefficient, so it can only make a later step raise
+    ``OrderExhausted``, which the sampler answers as it answers ``_Split``.
+    A choice between a jet and a scalar raises ``_Split``.
+    """
+    if not isinstance(index, int):
+        index = _agreed(index)
+    if isinstance(index, int):
+        return options[index]
+    if all(_is_jet(o) for o in options):
+        order = min(o.order for o in options)
+        n = _tables.count(options[0].nvars, order)
+        coeffs = np.choose(index, [o.coeffs[:n] for o in options])
+        return options[0]._new(coeffs, order, False)
+    if any(_is_jet(o) for o in options):
+        raise _Split
+    return np.choose(index, options)
+
+
+def _gather_rows(index, rows):
+    """``rows[index]`` for rows of scalars or jets, column-wise as ``_gather``."""
+    if not isinstance(index, int):
+        index = _agreed(index)
+    if isinstance(index, int):
+        return rows[index]
+    return [_gather(index, entries) for entries in zip(*rows)]
 
 
 def _is_exact(values):
@@ -510,18 +735,21 @@ def _binomial_series(x, expo):
     """x**expo for a non-integer rational exponent via (1+h)^expo around c0."""
     c0 = x.coeffs[0]
     exact = x.exact
+    q = expo.denominator
     if exact:
         if c0 == 0:
             raise DomainError("rational power of a jet with zero constant term")
-        root = _nth_root_scalar(c0, expo.denominator, True)
-        lead = root ** expo.numerator
+        lead = _nth_root_scalar(c0, q, True) ** expo.numerator
     else:
-        if abs(c0) < _DIV_FLOOR:
+        if _decide(abs(c0) < _DIV_FLOOR):
             raise DomainError("rational power of a jet with zero constant term")
-        if c0 < 0 and expo.denominator % 2 == 0:
+        if q % 2 == 0 and _decide(c0 < 0):
             raise DomainError("even root of a negative constant term")
-        root = _nth_root_scalar(c0, expo.denominator, False)
-        lead = root ** expo.numerator
+
+        def lead_of(c):
+            return _nth_root_scalar(c, q, False) ** expo.numerator
+
+        lead = lead_of(c0) if c0.ndim == 0 else np.array(_per_column(lead_of, c0))
     order = x.order
     h = x / c0 - 1
     coeffs = _binomial_coeffs(expo, order, exact)
@@ -549,9 +777,13 @@ def _analytic(x, float_fn, series_fn, exact_ok=False, name=""):
         if x.exact and not exact_ok:
             raise DomainError(f"{name} is not available in exact mode")
         c0 = x.coeffs[0]
-        if not x.exact and not math.isfinite(c0):
+        if not x.exact and _nonfinite(c0):
             raise DomainError(f"{name} of a non-finite value")
-        coeffs = series_fn(c0, x.order, x.exact)
+        if x.coeffs.ndim == 1:
+            coeffs = series_fn(c0, x.order, x.exact)
+        else:  # one series per column, on Python floats
+            columns = _per_column(lambda c: series_fn(c, x.order, False), c0)
+            coeffs = [np.array(k) for k in zip(*columns)]
         return _horner(x - c0, coeffs)
     if isinstance(x, Fraction) and not exact_ok:
         raise DomainError(f"{name} is not available in exact mode")
@@ -577,7 +809,10 @@ def log(x):
         for k in range(1, order + 1):
             out.append((-1) ** (k + 1) / (k * c0**k))
         return out
-    if not _is_jet(x) and float(x) <= 0:
+    if _is_jet(x):
+        if not x.exact and _decide(x.coeffs[0] <= 0):
+            raise DomainError("log of a non-positive constant term")
+    elif float(x) <= 0:
         raise DomainError("log of a non-positive argument")
     return _analytic(x, math.log, series, name="log")
 
@@ -600,7 +835,7 @@ def cos(x):
 
 def sqrt(x):
     if _is_jet(x):
-        if not x.exact and float(x.coeffs[0]) < 0:
+        if not x.exact and _decide(x.coeffs[0] < 0):
             raise DomainError("sqrt of a negative constant term")
         return _binomial_series(x, Fraction(1, 2))
     if isinstance(x, Fraction):
@@ -645,8 +880,11 @@ def compose_many(outers, inners):
     outers = list(outers)
     inners = list(inners)
     p = len(inners)
-    exact = any(o.exact for o in outers) or any(g.exact for g in inners)
-    if not exact and not all(math.isfinite(g.value()) for g in inners):
+    exact = inners[0].exact if inners else False
+    batch = inners[0].coeffs.shape[1:] if inners else ()
+    if any(g.exact != exact or g.coeffs.shape[1:] != batch for g in outers + inners):
+        raise TypeError("float and exact jets, or batches of different widths, do not mix")
+    if not exact and any(_nonfinite(g.value()) for g in inners):
         raise DomainError(f"non-finite inner value {[g.value() for g in inners]!r}")
     for outer in outers:
         if outer.nvars != p:
@@ -667,7 +905,7 @@ def compose_many(outers, inners):
     n_cols = _tables.count(nvars, order)
     h = np.stack([g.coeffs[:n_cols] for g in inners]).astype(dtype, copy=False)
     h[:, 0] -= h[:, 0]  # g - g(0): +0.0 for a finite float value
-    stacked = np.zeros((len(outers), _tables.count(p, order)), dtype=dtype)
+    stacked = np.zeros((len(outers), _tables.count(p, order)) + batch, dtype=dtype)
     for i, (outer, k) in enumerate(zip(outers, orders)):
         m = _tables.count(p, k)
         stacked[i, :m] = outer.coeffs[:m]
@@ -682,26 +920,27 @@ def _compose_rows(stacked, h, nvars, order):
     ``stacked`` is a C-contiguous (outers, count(p, order)) array of outer
     coefficients in p variables; ``h`` holds p inner rows in the order-``order``
     layout of ``nvars`` variables, each with a zero constant term, in the same
-    dtype.  Row sigma of M is h^parent * h_first (``_tables.compose_plan``);
-    for degree d >= 2 the product runs over
-    ``_tables.suffix_tables(nvars, order)[d - 1]``.  A float product is the
-    ``mul_table`` of this module, looked up at call time, and an object one
-    ``_mul_object``.  ``np.einsum`` without ``optimize`` sums in numpy's own
-    fixed loop order.
+    dtype.  A batch adds a last axis of width B to both.  Row sigma of M is
+    h^parent * h_first (``_tables.compose_plan``); for degree d >= 2 the
+    product runs over ``_tables.suffix_tables(nvars, order)[d - 1]``.  A float
+    product is the ``mul_table`` of this module, looked up at call time, and
+    an object one ``_mul_object``.  ``np.einsum`` without ``optimize`` sums in
+    numpy's own fixed loop order, over m from 0.0 in m order, in each batch
+    column as for one jet.
     """
     first, parent = _tables.compose_plan(h.shape[0], order)
     deg = _tables.degrees(h.shape[0], order)
     suffixes = _tables.suffix_tables(nvars, order)
     n_cols = h.shape[1]
     mul = _mul_object if h.dtype == object else mul_table
-    basis = np.zeros((len(first), n_cols), dtype=h.dtype)
+    basis = np.zeros((len(first),) + h.shape[1:], dtype=h.dtype)
     basis[0, 0] = 1
     for r in range(1, len(first)):
         if parent[r] == 0:
             basis[r] = h[first[r]]
         else:
             basis[r] = mul(basis[parent[r]], h[first[r]], *suffixes[deg[r] - 1], n_cols)
-    return np.einsum("km,mn->kn", stacked, basis)
+    return np.einsum("km...,mn...->kn...", stacked, basis)
 
 
 def invert_series(jets):
@@ -734,13 +973,16 @@ def invert_series(jets):
     p = len(jets)
     if any(g.nvars != p for g in jets):
         raise TypeError("need p jets in p variables")
+    exact = jets[0].exact
+    batch = jets[0].coeffs.shape[1:]
+    if any(g.exact != exact or g.coeffs.shape[1:] != batch for g in jets):
+        raise TypeError("float and exact jets, or batches of different widths, do not mix")
     order = min(g.order for g in jets)
-    exact = any(g.exact for g in jets)
     dtype = object if exact else np.float64
 
     n = _tables.count(p, order)
     s = np.stack([g.coeffs[:n] for g in jets]).astype(dtype, copy=False)
-    if not exact and not np.isfinite(s).all():
+    if not exact and _has_nonfinite(s):
         raise DomainError(f"non-finite coefficient in a jet map with value {s[:, 0].tolist()}")
     a = np.array(jets[0].basepoint, dtype=dtype)
     linv = _invert_matrix(s[:, 1:p + 1], exact)  # monomial x_j sits at index 1 + j
@@ -748,23 +990,28 @@ def invert_series(jets):
     n_part[:, :p + 1] = 0
 
     def affine_step(rhs):
-        t = np.zeros(rhs.shape, dtype=dtype)
+        t = np.zeros((p, rhs.shape[1]) + batch, dtype=dtype)
         t[:, 0] = 1
         t *= a[:, None]
         for j in range(p):
             t += linv[:, j, None] * rhs[j]
         return t
 
+    def eye(cols):
+        """The rows of y - b: the identity map's, broadcast over a batch."""
+        rows = np.eye(p, cols, 1, dtype=dtype)
+        return rows[..., None] if batch else rows
+
     # y - b is the identity; pass k zero-pads the order-(k-1) rows into h,
     # whose slot 0 keeps a zero: t - t(0) for a finite t
-    t = affine_step(np.eye(p, p + 1, 1, dtype=dtype))
+    t = affine_step(eye(p + 1))
     for k in range(2, order + 1):
         n_k = _tables.count(p, k)
-        h = np.zeros((p, n_k), dtype=dtype)
+        h = np.zeros((p, n_k) + batch, dtype=dtype)
         h[:, 1:t.shape[1]] = t[:, 1:]
         n_of_t = _compose_rows(n_part[:, :n_k].copy(), h, p, k)
-        t = affine_step(np.eye(p, n_k, 1, dtype=dtype) - n_of_t)
-    if not exact and not np.isfinite(t).all():
+        t = affine_step(eye(n_k) - n_of_t)
+    if not exact and _has_nonfinite(t):
         raise DomainError("the inverse of the jet map overflows")
     base = tuple(s[:, 0])
     return [MultiJet(p, order, row, base, exact=exact) for row in t]
@@ -772,10 +1019,20 @@ def invert_series(jets):
 
 def _invert_matrix(rows, exact):
     """The inverse of a square matrix: an SVD-checked float64 array, or in
-    exact mode an object array over the entries' ring."""
+    exact mode an object array over the entries' ring.  A (p, p, B) float
+    batch is inverted as a stack of B matrices, each by the LAPACK calls of
+    one matrix."""
     p = len(rows)
     if not exact:
         mat = np.asarray(rows, dtype=np.float64)
+        if mat.ndim == 3:
+            mat = np.ascontiguousarray(np.moveaxis(mat, 2, 0))
+            sv = np.linalg.svd(mat, compute_uv=False)
+            large = np.maximum(sv[:, 0], 1e-300)
+            if _decide(sv[:, -1] <= 1e-12 * large):
+                raise SingularLinearPart(
+                    f"relative smallest singular value {np.min(sv[:, -1] / large):.3e}")
+            return np.moveaxis(np.linalg.inv(mat), 0, 2)
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
             raise SingularLinearPart(f"relative smallest singular value {sv[-1]/max(sv[0],1e-300):.3e}")

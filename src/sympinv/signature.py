@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _tables
 from . import contact as contact_mod
 from . import curves as curves_mod
 from . import extended as ext_mod
@@ -23,11 +24,11 @@ from . import functions as fn_mod
 from . import hypersurfaces as hyp_mod
 from . import surfaces as srf_mod
 from .errors import (AllSamplesDegenerate, GeometryError, IncomparableClouds, JetError, NonFinite,
-                     NonGenericSample)
+                     NonGenericSample, OrderExhausted)
 from .exprs import evaluate
 from .geometry import (CHARTS, JetPoint, apply_word, default_order, parametric_curve_point,
                        pushforward, relation_residual, relation_values)
-from .jets import MultiJet, _const_float
+from .jets import MultiJet, _const_float, _Split
 from .symplectic import random_contact_lift, random_group_element
 
 
@@ -262,20 +263,36 @@ def component_labels(geometry, flavor, n, depth):
 
 
 def psi_values(point, geometry, flavor, n, depth):
-    """All Psi components at one sample point, ordered as component_labels."""
+    """All Psi components at one sample point, ordered as component_labels.
+
+    A word's jets are its first derivation applied to the jets of the rest of
+    the word, kept from the depth before: the operations of ``apply_word`` on
+    the whole word, in the same order, without recomputing the suffix.
+    """
     ev = generator_map(geometry, flavor, n)
     gens, ders = ev(point)
-    gen_names = list(gens.keys())
-    out = [_const_float(gens[g]) for g in gen_names]
+    out = [_const_float(jet) for jet in gens.values()]
+    suffixes = {(): list(gens.values())}
     for d in range(1, depth + 1):
+        words = {}
         for word in itertools.product(range(len(ders)), repeat=d):
-            for g in gen_names:
-                jet = apply_word(ders, word, gens[g])
-                out.append(_const_float(jet))
+            jets = [apply_word(ders, word[:1], jet) for jet in suffixes[word[1:]]]
+            words[word] = jets
+            out.extend(_const_float(jet) for jet in jets)
+        suffixes = words
     return out
 
 
 # --- sampling ---------------------------------------------------------------------
+
+# A chunk of B samples is one batched pass; B x pair_count(p, order) products
+# per jet product bounds its width.  2^16 makes a 2048-sample plane curve one
+# chunk (pair_count(1, 6) = 28) and gives a p = 4 function job chunks of 21.
+_CHUNK_PRODUCTS = 2 ** 16
+
+# The exceptions that make a sample degenerate.
+_DEGENERATE = (GeometryError, JetError, ZeroDivisionError)
+
 
 def sample_psi(defs, geometry, flavor, n, samples, depth, window, seed, order=None,
                parametric=False):
@@ -285,29 +302,57 @@ def sample_psi(defs, geometry, flavor, n, samples, depth, window, seed, order=No
 
     defs: dependent name -> ExprAst (graph form), or a list of ASTs for every
     ambient coordinate when parametric (curves only; `at` is the parameter).
+
+    The points are drawn at once, which gives the doubles of one draw per
+    coordinate and sample.  Chunks of them (``_CHUNK_PRODUCTS``) are evaluated
+    as batched jets, one pass of the frame code per chunk, with the bits of
+    one pass per sample.  A chunk whose samples take different branches
+    (``jets._Split``) is evaluated one sample at a time.
     """
     chart = CHARTS[geometry](n)
     order = order if order is not None else default_order(geometry, n)
     rng = np.random.default_rng(seed)
     lo, hi = window
+    ats = [tuple(at) for at in rng.uniform(lo, hi, (samples, chart.n_independent)).tolist()]
+    width = max(1, _CHUNK_PRODUCTS // _tables.pair_count(chart.n_independent, order))
+
+    def point_at(at):
+        if parametric:
+            return parametric_curve_point(
+                chart, [_parameter_jet(ast, at[0], order) for ast in defs], order)
+        return JetPoint.from_exprs(chart, defs, at, order)
+
+    def one(at):
+        try:
+            values = psi_values(point_at(at), geometry, flavor, n, depth)
+            if not all(math.isfinite(v) for v in values):
+                raise NonFinite("a signature component is not finite")
+        except _DEGENERATE as err:
+            return at, None, type(err).__name__
+        return at, values, ""
+
+    def batch(chunk):
+        columns = tuple(np.array(c) for c in zip(*chunk))
+        try:
+            values = psi_values(point_at(columns), geometry, flavor, n, depth)
+        except OrderExhausted:  # a batch may hold a jet at a lower order
+            raise _Split from None
+        except _DEGENERATE as err:  # raised where every sample branches alike
+            return [(at, None, type(err).__name__) for at in chunk]
+        table = np.array([np.broadcast_to(v, (len(chunk),)) for v in values])
+        finite = np.isfinite(table).all(axis=0).tolist()
+        return [(at, vals, "") if ok else (at, None, NonFinite.__name__)
+                for at, vals, ok in zip(chunk, table.T.tolist(), finite)]
+
     rows = []
     # an overflowing jet makes its sample NonFinite, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(samples):
-            at = tuple(rng.uniform(lo, hi) for _ in range(chart.n_independent))
+        for start in range(0, samples, width):
+            chunk = ats[start:start + width]
             try:
-                if parametric:
-                    point = parametric_curve_point(
-                        chart, [_parameter_jet(ast, at[0], order) for ast in defs], order)
-                else:
-                    point = JetPoint.from_exprs(chart, defs, at, order)
-                values = psi_values(point, geometry, flavor, n, depth)
-                if not all(math.isfinite(v) for v in values):
-                    raise NonFinite("a signature component is not finite")
-            except (GeometryError, JetError, ZeroDivisionError) as err:
-                rows.append((at, None, type(err).__name__))
-            else:
-                rows.append((at, values, ""))
+                rows += batch(chunk) if len(chunk) > 1 else [one(chunk[0])]
+            except _Split:
+                rows += [one(at) for at in chunk]
     return rows
 
 
@@ -338,7 +383,7 @@ def signature_of(defs, geometry, flavor, n=None, samples=64, depth=1,
 
 # --- comparison ------------------------------------------------------------------
 
-_HAUSDORFF_ROWS = 128  # rows of a per block of squared distances
+_HAUSDORFF_ROWS = 32  # rows of a per block of squared distances
 
 
 def hausdorff_distance(cloud_a, cloud_b):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import DegenerateQ1, LagrangianTangent, SigmaDegenerate
 from .geometry import Derivation
 from .jetlinalg import _PivotFailure, is_negligible, magnitude, nullspace_basis, solve
-from .jets import _const_float, _sum
+from .jets import _const_float, _decide, _max, _sum
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def frame(point):
 
     qf_v0 = apply_q(qf, v0_par, v0_par)
     qg_v0 = apply_q(qg, v0_par, v0_par)
-    scale = max(magnitude(qf_v0), magnitude(qg_v0))
+    scale = _max((magnitude(qf_v0), magnitude(qg_v0)))
     if is_negligible(qf_v0, scale) and is_negligible(qg_v0, scale):
         raise DegenerateQ1("null condition vanishes identically: Q1 not unique")
     alpha, beta = -qg_v0, qf_v0
@@ -120,14 +120,14 @@ def frame(point):
     v0_par_amb = _tangent_ambient(point, v0_par)
     om_t = space.omega(v0_par_amb, d_t_amb)
     om_s = space.omega(v0_par_amb, d_s_amb)
-    if magnitude(om_t) >= magnitude(om_s):
+    if _decide(magnitude(om_t) >= magnitude(om_s)):
         if is_negligible(om_t):
             raise DegenerateQ1("position tangent part vanishes")
         w0 = (1 / om_t, 0 * x)
     else:
         w0 = (0 * x, 1 / om_s)
     q1_cross = q1_apply(v0_par, w0)
-    if is_negligible(q1_cross, max(magnitude(q1_apply(w0, w0)), 1.0)):
+    if is_negligible(q1_cross, _max((magnitude(q1_apply(w0, w0)), 1.0))):
         raise DegenerateQ1("degenerate null normalization: Q1(v0_par, w0) = 0")
     k_shift = -q1_apply(w0, w0) / (2 * q1_cross)
     w_par = (w0[0] + k_shift * v0_par[0], w0[1] + k_shift * v0_par[1])
@@ -142,8 +142,8 @@ def frame(point):
         return cov[0] * vec[0] + cov[1] * vec[1] + cov[2] * vec[2] + cov[3] * vec[3]
 
     i2a = pair(sigma1, v0_perp)
-    if is_negligible(i2a, max(magnitude(pair(sigma1, perp_basis[0])),
-                              magnitude(pair(sigma1, perp_basis[1])), 1e-30)):
+    if is_negligible(i2a, _max((magnitude(pair(sigma1, perp_basis[0])),
+                                magnitude(pair(sigma1, perp_basis[1])), 1e-30))):
         raise SigmaDegenerate("sigma_1(v0_perp) vanishes")
 
     # w_perp: sigma1(w) = 0, omega(v0_perp, w) = 1 within the perp plane

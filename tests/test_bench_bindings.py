@@ -61,7 +61,7 @@ def test_tracer_binds_every_name_and_restores_the_originals(tmp_path):
         spans.switch(False)
         counters.switch(False)
     assert_restored(before)
-    assert tracer.layers["frame"][0] >= 4  # at least one evaluation per sample
+    assert tracer.layers["frame"][0] == 1  # the 4 samples are one batched evaluation
     assert tracer.layers["build"][0] > 0
     assert tracer.counts["kernels.madds"] > 0
     assert isinstance(sympinv.backend_name(), str)

@@ -1140,3 +1140,177 @@ class TestExactRing:
         d = MultiJet(1, 3, [Dual(2), 1, Fraction(1, 2), 0], (Fraction(0),), exact=True)
         (inv,) = invert_series([d])
         assert same_coeffs(inv, [0, 1, Fraction(-1, 2), Fraction(1, 2)])
+
+
+# --- batched jets ---------------------------------------------------------------
+
+def batch_of(singles):
+    """The batched jet of one-jet float jets at basepoints of one shape."""
+    first = singles[0]
+    base = tuple(np.array(col) for col in zip(*(s.basepoint for s in singles)))
+    coeffs = np.stack([s.coeffs for s in singles], axis=1)
+    return MultiJet(first.nvars, first.order, coeffs, base)
+
+
+def columns_match(batched, singles):
+    """Whether column c of a batched jet has the bytes of singles[c]."""
+    return (batched.order == singles[0].order
+            and all(batched.coeffs[:, c].tobytes() == s.coeffs.tobytes()
+                    for c, s in enumerate(singles)))
+
+
+def random_singles(rng, p, order, width, lo=0.5, hi=2.0):
+    """`width` float jets in p variables with constant terms in [lo, hi]."""
+    out = []
+    for _ in range(width):
+        base = tuple(float(v) for v in rng.uniform(-1, 1, p))
+        coeffs = rng.standard_normal(_tables.count(p, order))
+        coeffs[0] = rng.uniform(lo, hi)
+        out.append(MultiJet(p, order, coeffs, base))
+    return out
+
+
+class TestBatchedJets:
+    """A batch of B jets, coefficients (ncoeff, B), has the bytes of B jets."""
+
+    @pytest.mark.parametrize("p,order", [(1, 6), (2, 4), (3, 3)])
+    def test_operations_keep_each_columns_bits(self, p, order):
+        rng = np.random.default_rng(40 + p)
+        xs = random_singles(rng, p, order, 5)
+        ys = [MultiJet(p, order - 1, y.coeffs[:_tables.count(p, order - 1)], x.basepoint)
+              for x, y in zip(xs, random_singles(rng, p, order, 5))]
+        col = np.array([1.5, -2.0, 0.25, 3.0, -0.5])
+        bx = batch_of(xs)
+        by = MultiJet(p, order - 1, np.stack([y.coeffs for y in ys], axis=1), bx.basepoint)
+        cases = [
+            (lambda x, y, c: x + y), (lambda x, y, c: x - y), (lambda x, y, c: x * y),
+            (lambda x, y, c: x / y), (lambda x, y, c: -x), (lambda x, y, c: x.reciprocal()),
+            (lambda x, y, c: x.partial(p - 1)), (lambda x, y, c: x ** 3),
+            (lambda x, y, c: x + c), (lambda x, y, c: c - x), (lambda x, y, c: x * c),
+            (lambda x, y, c: c * x), (lambda x, y, c: x / c), (lambda x, y, c: c / x),
+            (lambda x, y, c: x + 2), (lambda x, y, c: 2 / x),
+            (lambda x, y, c: jets.exp(x)), (lambda x, y, c: jets.log(x)),
+            (lambda x, y, c: jets.sin(x)), (lambda x, y, c: jets.cos(x)),
+            (lambda x, y, c: jets.sqrt(x)), (lambda x, y, c: jets.cbrt(x)),
+            (lambda x, y, c: x ** Fraction(-5, 3)), (lambda x, y, c: jets._one_like(x)),
+        ]
+        for case in cases:
+            batched = case(bx, by, col)
+            singles = [case(x, y, float(c)) for x, y, c in zip(xs, ys, col)]
+            assert columns_match(batched, singles), case
+
+    def test_the_kernel_sums_each_column_in_table_order(self):
+        rng = np.random.default_rng(7)
+        for p, order in ((1, 6), (2, 5), (4, 3)):
+            pi, pj, pr = _tables.product_table(p, order)
+            n = _tables.count(p, order)
+            a = rng.standard_normal((n, 9))
+            b = rng.standard_normal((n, 9))
+            a[0, 3] = -0.0
+            got = kernels.mul_table(a, b, pi, pj, pr, n)
+            for c in range(9):
+                want = kernels.mul_table(a[:, c].copy(), b[:, c].copy(), pi, pj, pr, n)
+                assert got[:, c].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p,order", [(1, 6), (2, 4)])
+    def test_compose_and_invert_keep_each_columns_bits(self, p, order):
+        rng = np.random.default_rng(60 + p)
+        width = 4
+        maps = []
+        for i in range(p):
+            jets_i = random_singles(rng, p, order, width)
+            for j, jet in enumerate(jets_i):  # a diagonally dominant linear part
+                jet.coeffs[1:p + 1] = 0.1
+                jet.coeffs[1 + i] = 2.0 + j
+            maps.append(jets_i)
+        singles = [[MultiJet(p, order, maps[i][c].coeffs, maps[0][c].basepoint) for i in range(p)]
+                   for c in range(width)]
+        batched = [batch_of([singles[c][i] for c in range(width)]) for i in range(p)]
+        inv = invert_series(batched)
+        inv_single = [invert_series(s) for s in singles]
+        for i in range(p):
+            assert columns_match(inv[i], [inv_single[c][i] for c in range(width)])
+        outers = random_singles(rng, p, order, width)
+        outer_b = MultiJet(p, order, np.stack([o.coeffs for o in outers], axis=1),
+                           batched[0].basepoint)
+        (got,) = compose_many([outer_b], inv)
+        want = [compose_many([MultiJet(p, order, o.coeffs, singles[c][0].basepoint)],
+                             inv_single[c])[0] for c, o in enumerate(outers)]
+        assert columns_match(got, want)
+
+    def test_constructors_broadcast_over_the_basepoint_columns(self):
+        base = (np.array([0.5, -1.0, 2.0]),)
+        const = MultiJet.constant(-2.0, 1, 3, base)
+        assert const.coeffs.shape == (4, 3)
+        assert const.coeffs[1:].tobytes() == np.full((3, 3), -0.0).tobytes()
+        var = MultiJet.variable(0, 1, 3, base)
+        assert var.coeffs[0].tobytes() == base[0].tobytes()
+        assert (var.coeffs[1] == 1.0).all() and not var.coeffs[2:].any()
+
+    def test_a_batch_never_mixes_with_one_jet(self):
+        one = MultiJet(1, 2, [1.0, 2.0, 3.0], (0.0,))
+        three = MultiJet.variable(0, 1, 2, (np.array([0.0, 0.0, 0.0]),))
+        two = MultiJet.variable(0, 1, 2, (np.array([0.0, 0.0]),))
+        for a, b in ((one, three), (three, one), (two, three)):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(a, b)
+        with pytest.raises(TypeError):
+            one * np.array([1.0, 2.0, 3.0])  # no broadcast of a column array over a 1-D jet
+        with pytest.raises(TypeError):
+            compose_many([one], [three])
+
+    def test_columns_that_branch_apart_split_the_batch(self):
+        base = (np.array([0.0, 0.0]),)
+        mixed = MultiJet(1, 2, np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]), base)
+        for fn in (lambda x: x.reciprocal(), lambda x: jets.log(x), lambda x: jets.sqrt(x - 0.5)):
+            with pytest.raises(jets._Split):
+                fn(mixed)
+        zero = MultiJet(1, 2, np.zeros((3, 2)), base)
+        with pytest.raises(DivisionByZeroJet):  # every column agrees
+            zero.reciprocal()
+
+    def test_a_choice_per_column_takes_each_columns_option(self):
+        base = (np.array([0.0, 0.0, 0.0]),)
+        opts = [MultiJet(1, 2, np.full((3, 3), float(k)), base) for k in range(3)]
+        low = MultiJet(1, 1, np.full((2, 3), 7.0), base)
+        got = jets._gather(np.array([2, 0, 1]), opts)
+        assert got.coeffs[:, 0].tolist() == [2.0] * 3 and got.coeffs[:, 1].tolist() == [0.0] * 3
+        assert jets._gather(np.array([0, 1, 1]), [opts[0], low]).order == 1
+        assert jets._gather(1, opts) is opts[1]
+        with pytest.raises(jets._Split):
+            jets._gather(np.array([0, 1, 1]), [opts[0], 1.0])
+
+
+class TestModeMixing:
+    """A float jet and an exact jet never combine (they raised no error once)."""
+
+    def test_arithmetic_between_modes_raises(self):
+        f = MultiJet(1, 1, [0.5, 2.0], (Fraction(0),))
+        e = MultiJet(1, 1, [Fraction(1), Fraction(2)], (Fraction(0),), exact=True)
+        for a, b in ((f, e), (e, f)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(TypeError):
+                    op(a, b)
+
+    def test_composition_and_inversion_between_modes_raise(self):
+        f = MultiJet(1, 2, [0.0, 2.0, 1.0], (0.0,))
+        e = MultiJet(1, 2, [Fraction(0), Fraction(2), Fraction(1)], (Fraction(0),), exact=True)
+        with pytest.raises(TypeError):
+            compose_many([f], [e])
+        with pytest.raises(TypeError):
+            compose_many([e], [f])
+        g = MultiJet(2, 1, [0.0, 1.0, 0.0], (0.0, 0.0))
+        h = MultiJet(2, 1, [Fraction(0), Fraction(0), Fraction(1)], (Fraction(0),) * 2,
+                     exact=True)
+        with pytest.raises(TypeError):
+            invert_series([g, h])
+
+    def test_an_exact_divisor_with_a_zero_real_part_is_a_zero_divisor(self):
+        from sympinv.rational import Dual
+
+        d = MultiJet(1, 1, [Dual(0, 1), Fraction(1)], (Fraction(0),), exact=True)
+        with pytest.raises(DivisionByZeroJet):
+            d.reciprocal()
+        with pytest.raises(DivisionByZeroJet):
+            MultiJet.constant(Fraction(1), 1, 1, (Fraction(0),), exact=True) / d

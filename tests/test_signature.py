@@ -1,5 +1,6 @@
 """Signature clouds and the equivalence verdicts."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -182,3 +183,146 @@ class TestBlockedHausdorff:
             want = dense_hausdorff_distance(a, b)
             got = hausdorff_distance(a, b)
         assert got.hex() == want.hex()
+
+
+# --- batched sampling ----------------------------------------------------------------
+
+# One standard job per recipe: (geometry, flavor, n, exprs), in the chart's
+# independent coordinates.
+RECIPE_JOBS = (
+    ("function", "sp", 1, {"u": "x^2*y + sin(y) + x^3/5"}),
+    ("function", "sp", 2, {"u": "x1^2*y2 + x2*y1^2 + exp(x1/3) + y2^3/4"}),
+    ("function", "csp", 1, {"u": "x^2*y + sin(y) + x^3/5"}),
+    ("function", "asp", 1, {"u": "x^2*y + sin(y) + x^3/5"}),
+    ("function", "acsp", 1, {"u": "x^2*y + sin(y) + x^3/5 + y^4/7"}),
+    ("curve", "sp", 1, {"y": "exp(x/2) + x^3/3"}),
+    ("curve", "sp", 2, {"x": "t^2/2 + t", "y": "sin(t) + t^3/6", "z": "exp(t/3)"}),
+    ("curve", "csp", 1, {"y": "x^3/3 + log(x + 2)"}),
+    ("curve", "asp", 1, {"y": "x^3/3 + exp(x/2) + x^5/9"}),
+    ("curve", "acsp", 1, {"y": "exp(x/2) + x^3/3"}),
+    ("hypersurface", "sp", 2, {"u": "x^2 + y*z + z^3/3 + exp(x*y/4)"}),
+    ("surface", "sp", 2, {"x": "t^2 + s^3/3 + t*s", "y": "s^2 - t^3/4 + exp(t/2)"}),
+    ("contact-curve", "contact", 1, {"y": "x^3/3 + x", "z": "exp(x/2) + x^2"}),
+    ("contact-curve", "contact-csp", 1, {"y": "x^3/3 + x", "z": "exp(x/2) + x^2"}),
+    ("contact-surface", "contact-csp", 1, {"z": "x^2*y + y^3/3 + exp(x/3)"}),
+    ("contact-function", "contact-csp", 1, {"u": "x^2 + y*z + z^3/3 + x*y^2"}),
+)
+
+
+def job_sampling(geometry, flavor, n, exprs, samples, depth, window=(0.5, 1.5), seed=5):
+    """The sample_psi arguments of a job file, as the CLI builds them."""
+    from sympinv.cli import _sampling
+    from sympinv.jobs import JobSpec
+
+    lines = [f"geometry = {geometry}", f"flavor = {flavor}", f"n = {n}",
+             f"window = {window[0]}:{window[1]}", f"samples = {samples}",
+             f"depth = {depth}", f"seed = {seed}", "exprs:"]
+    lines += [f"  {name} = {text}" for name, text in exprs.items()]
+    return _sampling(JobSpec.from_text("\n".join(lines) + "\n"))
+
+
+def row_bytes(rows):
+    return [(at, None if vals is None else [v.hex() for v in vals], flag)
+            for at, vals, flag in rows]
+
+
+def batched_and_single(monkeypatch, kwargs):
+    """sample_psi's rows in chunks, and with every chunk one sample wide."""
+    from sympinv import signature
+
+    batched = signature.sample_psi(**kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(signature, "_CHUNK_PRODUCTS", 1)
+        single = signature.sample_psi(**kwargs)
+    return batched, single
+
+
+class TestBatchedSampling:
+    """A chunk of samples is one batched pass with the rows of one pass per sample."""
+
+    @pytest.mark.parametrize("job", RECIPE_JOBS, ids=lambda j: "{}/{}/{}".format(*j[:3]))
+    def test_every_recipe_gives_the_rows_of_one_sample_at_a_time(self, monkeypatch, job):
+        from sympinv import jets
+
+        splits = []
+
+        class Counted(jets._Split):
+            def __init__(self, *args):
+                splits.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(jets, "_Split", Counted)
+        for depth in (1, 2):
+            batched, single = batched_and_single(monkeypatch, job_sampling(*job, 16, depth))
+            assert row_bytes(batched) == row_bytes(single)
+            if job[:2] == ("curve", "acsp") and depth == 2:  # I5 leaves no order for d1(d1(I5))
+                assert {flag for _, _, flag in batched} == {"OrderExhausted"}
+            else:
+                assert all(vals is not None for _, vals, _ in batched)
+        assert splits == []  # generic samples branch alike
+
+    @pytest.mark.parametrize("exprs", [{"y": "x^2"},
+                                       {"x": "0.9*t - 0.35*t^2", "y": "0.4*t + 0.95*t^2"}],
+                             ids=["graph", "parametric"])
+    def test_a_2048_sample_parabola_is_one_chunk_with_the_same_rows(self, monkeypatch, exprs):
+        kwargs = job_sampling("curve", "sp", 1, exprs, 2048, 1, seed=11)
+        batched, single = batched_and_single(monkeypatch, kwargs)
+        assert row_bytes(batched) == row_bytes(single)
+
+    def test_more_samples_than_one_chunk(self, monkeypatch):
+        from sympinv import _tables, signature
+
+        kwargs = job_sampling("function", "sp", 2,
+                              {"u": "x1^2*y2 + x2*y1^2 + exp(x1/3) + y2^3/4"}, 50, 1)
+        assert signature._CHUNK_PRODUCTS // _tables.pair_count(4, 6) < 50
+        batched, single = batched_and_single(monkeypatch, kwargs)
+        assert row_bytes(batched) == row_bytes(single)
+
+    def test_degenerate_samples_inside_a_chunk_keep_their_rows(self, monkeypatch):
+        kwargs = job_sampling("curve", "sp", 1, {"y": "log(x)"}, 64, 1, window=(-0.5, 0.5))
+        batched, single = batched_and_single(monkeypatch, kwargs)
+        assert row_bytes(batched) == row_bytes(single)
+        flags = [flag for _, _, flag in batched]
+        assert 10 < flags.count("DomainError") < 54 and flags.count("") > 10
+
+    def test_product_calls_do_not_grow_with_the_sample_count(self, monkeypatch):
+        from sympinv import jets
+
+        calls = []
+        mul_table = jets.mul_table
+
+        def counted(*args):
+            calls.append(1)
+            return mul_table(*args)
+
+        monkeypatch.setattr(jets, "mul_table", counted)
+        counts = []
+        for samples in (512, 2048):
+            calls.clear()
+            curve_cloud("x^2 + x^3/4", samples=samples)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
+class TestWordsAndBlocks:
+    def test_memoized_words_have_the_bytes_of_apply_word(self):
+        from sympinv.geometry import CHARTS, JetPoint, apply_word
+        from sympinv.signature import generator_map, psi_values
+
+        kwargs = job_sampling("function", "sp", 1, {"u": "x^2*y + sin(y) + x^3/5"}, 1, 3)
+        point = JetPoint.from_exprs(CHARTS["function"](1), kwargs["defs"], (0.8, 1.1), 6)
+        gens, ders = generator_map("function", "sp", 1)(point)
+        want = [float(g.value()) for g in gens.values()]
+        for d in (1, 2, 3):
+            for word in itertools.product(range(len(ders)), repeat=d):
+                want += [float(apply_word(ders, word, g).value()) for g in gens.values()]
+        got = psi_values(point, "function", "sp", 1, 3)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("rows", [1, 32, 10_000])
+    def test_hausdorff_blocks_give_the_same_bits(self, monkeypatch, rows):
+        from sympinv import signature
+
+        a, b = TestBlockedHausdorff.clouds(300, 257, 3, seed=4)
+        monkeypatch.setattr(signature, "_HAUSDORFF_ROWS", rows)
+        assert hausdorff_distance(a, b).hex() == dense_hausdorff_distance(a, b).hex()
