@@ -28,7 +28,10 @@ def magnitude(x):
 def is_negligible(x, scale=1.0, tol=1e-10):
     if _is_exact([x]):
         return _const_float(x) == 0
-    return _decide(abs(_const_float(x)) <= tol * _max((scale, 1e-30)))
+    size = abs(_const_float(x))
+    if isinstance(size, np.ndarray) or isinstance(scale, np.ndarray):
+        return _decide(size <= tol * _max((scale, 1e-30)))
+    return size <= tol * max(scale, 1e-30)
 
 
 def _row_reduce(a, ncols, tol):
@@ -47,7 +50,9 @@ def _row_reduce(a, ncols, tol):
         piv = _first_above([magnitude(a[r][col]) for r in range(row, len(a))], 0.0)
         if piv is None:
             continue
-        if is_negligible(_gather(piv, [r[col] for r in a[row:]]), scale, tol):
+        pivot = (a[row + piv][col] if isinstance(piv, int)
+                 else _gather(piv, [r[col] for r in a[row:]]))
+        if is_negligible(pivot, scale, tol):
             continue
         _swap(a, row, piv + row)
         a[row] = divide_all(a[row], a[row][col])

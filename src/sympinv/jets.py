@@ -363,8 +363,9 @@ class MultiJet:
             raise BasepointMismatch(f"basepoints {self.basepoint!r} and {other.basepoint!r}")
 
     def _scalar(self, x):
-        """A scalar operand of a float jet as a float, or for a batched jet a
-        column array (one float per column)."""
+        """A scalar operand of a float jet that is not a float (a numpy float
+        is one) as a float, or for a batched jet a column array (one float per
+        column)."""
         if isinstance(x, np.ndarray):
             if x.shape != self.coeffs.shape[1:]:
                 raise TypeError("a column array needs a batched jet of its width")
@@ -380,7 +381,7 @@ class MultiJet:
                 return self._new(a + b[:len(a)], self.order, self.exact or other.exact)
             return self._new(a[:len(b)] + b, other.order, self.exact or other.exact)
         coeffs = self.coeffs.copy()
-        coeffs[0] = coeffs[0] + (other if self.exact or type(other) is float
+        coeffs[0] = coeffs[0] + (other if self.exact or isinstance(other, float)
                                  else self._scalar(other))
         return self._new(coeffs, self.order, self.exact)
 
@@ -398,7 +399,7 @@ class MultiJet:
                 return self._new(a - b[:len(a)], self.order, self.exact or other.exact)
             return self._new(a[:len(b)] - b, other.order, self.exact or other.exact)
         coeffs = self.coeffs.copy()
-        coeffs[0] = coeffs[0] - (other if self.exact or type(other) is float
+        coeffs[0] = coeffs[0] - (other if self.exact or isinstance(other, float)
                                  else self._scalar(other))
         return self._new(coeffs, self.order, self.exact)
 
@@ -420,7 +421,7 @@ class MultiJet:
             if self.exact or other.exact:
                 return self._new(_mul_object(a, b, pi, pj, pr, n), order, True)
             return self._new(mul_table(a, b, pi, pj, pr, n), order, False)
-        if not (self.exact or type(other) is float):
+        if not (self.exact or isinstance(other, float)):
             other = self._scalar(other)
         return self._new(self.coeffs * other, self.order, self.exact)
 
@@ -561,15 +562,13 @@ def _const_float(x):
 def _max(values):
     """``max(values)``, the first value that no later one exceeds under ``>``;
     with column arrays among them, that value for each column."""
-    for v in values:
-        if isinstance(v, np.ndarray):
-            break
-    else:
+    try:
         return max(values)
-    out = values[0]
-    for v in values[1:]:
-        out = np.where(v > out, v, out)
-    return out
+    except ValueError:  # comparing column arrays has no single truth value
+        out = values[0]
+        for v in values[1:]:
+            out = np.where(v > out, v, out)
+        return out
 
 
 def _argmax(values):
@@ -586,13 +585,14 @@ def _first_above(values, floor):
     For column arrays: one index per column, or one int (or None) when the
     columns agree; columns that disagree on None raise ``_Split``.
     """
-    if not any(isinstance(v, np.ndarray) for v in values):
+    try:
         found, best = None, floor
         for i, v in enumerate(values):
             if v > best:
                 found, best = i, v
         return found
-    found, best = -1, floor
+    except ValueError:  # comparing column arrays has no single truth value
+        found, best = -1, floor
     for i, v in enumerate(values):
         above = v > best
         found = np.where(above, i, found)
