@@ -41,13 +41,20 @@ def _row_reduce(a, ncols, tol):
     the pivot columns in order: row i ends with a 1 in the i-th of them and
     0 in the others.  Batch columns that pivot on different rows each swap
     their own (``_swap``), so every column runs the elimination it would run
-    alone."""
+    alone.  A batch scans from the negligibility bound, not from 0: alone, a
+    column with no nonzero entry and one with only negligible entries are
+    both skipped, and this way the scan finds a pivot in neither (a NaN bound
+    scans from 0, since ``is_negligible`` then passes every pivot)."""
     mags = [magnitude(e) for r in a for e in r]
     scale = _max(mags) if mags else 1.0
+    floor = 0.0
+    if isinstance(scale, np.ndarray):
+        bound = tol * _max((scale, 1e-30))
+        floor = np.where(np.isnan(bound), 0.0, bound)
     piv_cols = []
     row = 0
     for col in range(ncols):
-        piv = _first_above([magnitude(a[r][col]) for r in range(row, len(a))], 0.0)
+        piv = _first_above([magnitude(a[r][col]) for r in range(row, len(a))], floor)
         if piv is None:
             continue
         pivot = (a[row + piv][col] if isinstance(piv, int)

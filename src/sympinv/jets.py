@@ -90,8 +90,11 @@ tests.  ``_decide`` takes such a condition per column: when every column
 agrees the batch goes on as one (and raises for all of them), and when they
 differ it raises the private ``_Split``, on which the sampler evaluates its
 chunk one sample at a time.  A pivot choice that differs across columns does
-not split: ``_gather`` takes each column's own row, at the lowest order of
-the candidates (a truncation that keeps every remaining coefficient's bits).
+not split, since the hypersurface and surface frames make one in nearly
+every chunk of generic samples: ``_gather`` takes each column's own row, at
+the lowest order of the candidates (a truncation that keeps every remaining
+coefficient's bits, so the sampler answers an ``OrderExhausted`` of a batch
+with the per-sample loop too).
 A per-column scalar computation that raises splits too (``_per_column``).
 
 The frames do linear algebra over one ring of scalars (floats, fractions,
@@ -1025,18 +1028,14 @@ def _invert_matrix(rows, exact):
     p = len(rows)
     if not exact:
         mat = np.asarray(rows, dtype=np.float64)
-        if mat.ndim == 3:
-            mat = np.ascontiguousarray(np.moveaxis(mat, 2, 0))
-            sv = np.linalg.svd(mat, compute_uv=False)
-            large = np.maximum(sv[:, 0], 1e-300)
-            if _decide(sv[:, -1] <= 1e-12 * large):
-                raise SingularLinearPart(
-                    f"relative smallest singular value {np.min(sv[:, -1] / large):.3e}")
-            return np.moveaxis(np.linalg.inv(mat), 0, 2)
+        if mat.ndim == 3:  # a batch: one matrix per column
+            mat = np.moveaxis(mat, 2, 0)
         sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
-            raise SingularLinearPart(f"relative smallest singular value {sv[-1]/max(sv[0],1e-300):.3e}")
-        return np.linalg.inv(mat)
+        small, large = sv[..., -1], np.maximum(sv[..., 0], 1e-300)
+        if _decide(small <= 1e-12 * large):
+            raise SingularLinearPart(f"relative smallest singular value {np.min(small / large):.3e}")
+        inv = np.linalg.inv(mat)
+        return inv if inv.ndim == 2 else np.moveaxis(inv, 0, 2)
     # exact Gauss-Jordan; pivots must be invertible (nonzero "real" part for
     # dual numbers), but elimination must clear every nonzero entry including
     # pure-epsilon ones.  The one and zero are r[0] * 0 + 1 and r[0] * 0, and a

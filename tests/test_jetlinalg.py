@@ -152,3 +152,21 @@ def test_plain_fraction_rows_keep_exact_arithmetic():
     basis = jetlinalg.nullspace_basis([[Fraction(0), Fraction(1), Fraction(2)]], 3)
     assert basis == [[1, 0, 0], [0, -2, 1]]
     assert all(type(v) is Fraction for vec in basis for v in vec)
+
+
+def test_a_batch_reduces_each_column_as_it_would_alone():
+    """Batch column 0 pivots on row 2 and column 1 on row 1; the last column
+    of the reduction is exactly zero in batch column 0 and a rounding residue
+    in column 1.  Alone each skips it, and the batch skips it too, without
+    sending the batch to the per-sample loop."""
+    x = np.random.default_rng(0).normal(size=(3, 3))
+    consts = np.array([[[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]], x - x.T])
+    higher = np.random.default_rng(3).normal(size=(3, 3, 2, 2))
+    base = (np.zeros(2),)
+    rows = [[MultiJet(1, 2, np.vstack([consts[:, i, j], higher[i, j] - higher[j, i]]), base)
+             for j in range(3)] for i in range(3)]
+    got = jetlinalg.kernel_vector(rows)
+    for b in range(2):
+        alone = [[MultiJet(1, 2, e.coeffs[:, b], (0.0,)) for e in r] for r in rows]
+        want = jetlinalg.kernel_vector(alone)
+        assert [g.coeffs[:, b].tobytes() for g in got] == [w.coeffs.tobytes() for w in want]

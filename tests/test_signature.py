@@ -242,16 +242,6 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("job", RECIPE_JOBS, ids=lambda j: "{}/{}/{}".format(*j[:3]))
     def test_every_recipe_gives_the_rows_of_one_sample_at_a_time(self, monkeypatch, job):
-        from sympinv import jets
-
-        splits = []
-
-        class Counted(jets._Split):
-            def __init__(self, *args):
-                splits.append(1)
-                super().__init__(*args)
-
-        monkeypatch.setattr(jets, "_Split", Counted)
         for depth in (1, 2):
             batched, single = batched_and_single(monkeypatch, job_sampling(*job, 16, depth))
             assert row_bytes(batched) == row_bytes(single)
@@ -259,7 +249,31 @@ class TestBatchedSampling:
                 assert {flag for _, _, flag in batched} == {"OrderExhausted"}
             else:
                 assert all(vals is not None for _, vals, _ in batched)
-        assert splits == []  # generic samples branch alike
+
+    @pytest.mark.parametrize("job", RECIPE_JOBS, ids=lambda j: "{}/{}/{}".format(*j[:3]))
+    def test_every_recipe_batches_generic_samples(self, monkeypatch, job):
+        """No chunk of 16 generic samples falls back to one pass per sample."""
+        from sympinv import signature
+
+        passes = []
+        psi_values = signature.psi_values
+
+        def counted(point, *args):
+            passes.append(isinstance(point.basepoint[0], np.ndarray))
+            return psi_values(point, *args)
+
+        monkeypatch.setattr(signature, "psi_values", counted)
+        for seed in range(1, 9):
+            for depth in (1, 2):
+                passes.clear()
+                signature.sample_psi(**job_sampling(*job, 16, depth, seed=seed))
+                if job[:2] == ("curve", "acsp") and depth == 2:
+                    # every sample raises OrderExhausted; a batch answers it with
+                    # the one-sample loop, since a pivot taken per column may
+                    # have cut a jet to a lower order
+                    assert passes == [True] + [False] * 16
+                else:
+                    assert passes == [True]
 
     @pytest.mark.parametrize("exprs", [{"y": "x^2"},
                                        {"x": "0.9*t - 0.35*t^2", "y": "0.4*t + 0.95*t^2"}],
