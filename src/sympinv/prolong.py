@@ -101,7 +101,7 @@ def orbit_dimension(geometry, flavor, n, k, seed=0, attempts=5, rel_tol=1e-9):
 
 # (label, geometry, flavor, n, k, orbit dimension) read by `sympinv check
 # counting` and the acceptance gate: the paper's counts, then the curve formula
-# min(2(k+1)n - C(k+1, 2), n(2n+1)) for 2n = 4 and 6.
+# min(2(k+1)n - C(k+1, 2), n(2n+1)) for 2n = 2, 4 and 6.
 ORBIT_DIMENSIONS = (
     ("curves R4 k=0", "curve", "sp", 2, 0, 4),
     ("curves R4 k=1", "curve", "sp", 2, 1, 7),
@@ -118,7 +118,7 @@ ORBIT_DIMENSIONS = (
     ("contact functions k=1 (h1=2)", "contact-function", "contact-csp", 1, 1, 4),
 ) + tuple((f"curves 2n={2 * n} k={k}", "curve", "sp", n, k,
            min(2 * (k + 1) * n - math.comb(k + 1, 2), n * (2 * n + 1)))
-          for n in (2, 3) for k in range(2 * n + 1))
+          for n in (1, 2, 3) for k in range(2 * n + 1))
 
 
 def orbit_table(seed=0):

@@ -383,17 +383,74 @@ def signature_of(defs, geometry, flavor, n=None, samples=64, depth=1,
 
 # --- comparison ------------------------------------------------------------------
 
-_HAUSDORFF_ROWS = 32  # rows of a per block of squared distances
+# A pass of the comparison forms at most this many rows' worth of squared
+# distances, _HAUSDORFF_ROWS * M, which bounds its temporaries.
+_HAUSDORFF_ROWS = 32
+
+
+def _directed_hausdorff_sq(x, y):
+    """max over the rows of x of the least squared distance to a row of y.
+
+    See hausdorff_distance for which distances are formed and why the result
+    is that of the full matrix.
+    """
+    c = int(np.argmax(np.ptp(y, axis=0)))
+    y = y[np.argsort(y[:, c])]
+    yc, m = y[:, c], len(y)
+    near = np.clip(np.searchsorted(yc, x[:, c])[:, None] + np.arange(-2, 2), 0, m - 1)
+    u = np.min(np.sum((x[:, None, :] - y[near]) ** 2, axis=-1), axis=1)
+    order = np.argsort(-u)
+    x, u = x[order], u[order]
+    xc = x[:, c]
+    reach = np.sqrt(u) * (1 + 2.0 ** -40) + np.abs(xc) * 2.0 ** -50
+    lo = np.searchsorted(yc, xc - reach, "left")
+    counts = np.searchsorted(yc, xc + reach, "right") - lo
+    ends = np.cumsum(counts)
+    best = -np.inf
+    start, live = 0, len(x)
+    while start < live:
+        # the next rows whose windows hold at most _HAUSDORFF_ROWS * m columns
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + _HAUSDORFF_ROWS * m, "right"))
+        stop = min(live, max(start + 1, stop))
+        cnt = counts[start:stop]
+        firsts = ends[start:stop] - cnt - done
+        rows = np.repeat(np.arange(start, stop), cnt)
+        cols = np.arange(len(rows)) + np.repeat(lo[start:stop] - firsts, cnt)
+        d2 = np.sum((x[rows] - y[cols]) ** 2, axis=-1)
+        best = np.maximum(best, np.max(np.minimum.reduceat(d2, firsts)))
+        start = stop
+        # u falls along the rows: a row with u <= best cannot raise best
+        live = start + int(np.searchsorted(-u[start:], -best))
+    return best
 
 
 def hausdorff_distance(cloud_a, cloud_b):
     """Symmetric Hausdorff distance after per-coordinate diameter normalization.
 
-    The squared distances are formed for blocks of rows of ``a``, so the
-    temporary is (block, M, r) rather than (N, M, r).  Each entry uses the
-    same formula as the whole matrix, and the running maximum and column
-    minimum (``np.maximum``/``np.minimum``, which keep a NaN) select rather
-    than round, so the result has the bits of the unblocked computation.
+    Each directed distance, from the rows x of one cloud to the rows y of
+    the other, forms only the squared distances d2 that can be a row's
+    minimum (an exact pruning in the manner of Taha & Hanbury, IEEE TPAMI
+    37 (2015)):
+
+    - y is sorted along the coordinate c in which it spreads most;
+    - the two y on either side of x in that order give x an upper bound u
+      on its minimum;
+    - x forms d2 only for the y with |x_c - y_c| <= sqrt(u), found by
+      ``np.searchsorted`` with a margin of 2^-40 relative to sqrt(u) plus
+      2^-50 relative to |x_c|, which covers every rounding in the bound;
+    - rows go in decreasing u, and a row whose u is at most the largest
+      minimum found so far is skipped, since its minimum cannot raise it.
+
+    Every formed entry is ``np.sum((x - y) ** 2, axis=-1)``, the formula of
+    the full matrix, and min and max only select.  A column outside the
+    window has fl((x_c - y_c)^2) >= u, and its d2 is at least that term:
+    a sum of non-negative floats is at least each of its terms, because
+    rounding is monotone.  So the result has the bits of the full (N, M)
+    matrix.  At worst, when every window is all of y and no row is
+    skipped, each direction forms that whole matrix, _HAUSDORFF_ROWS rows'
+    worth at a time.  A non-finite coordinate gives NaN, as in the full
+    matrix, where it makes a whole row and column NaN after normalization.
     """
     a = np.asarray(cloud_a.points, dtype=float)
     b = np.asarray(cloud_b.points, dtype=float)
@@ -402,13 +459,10 @@ def hausdorff_distance(cloud_a, cloud_b):
     span[span == 0] = 1.0
     an = a / span
     bn = b / span
-    forward = -np.inf
-    col_min = np.full(len(bn), np.inf)
-    for start in range(0, len(an), _HAUSDORFF_ROWS):
-        d2 = np.sum((an[start:start + _HAUSDORFF_ROWS, None, :] - bn[None, :, :]) ** 2, axis=2)
-        forward = np.maximum(forward, np.max(np.min(d2, axis=1)))
-        np.minimum(col_min, np.min(d2, axis=0), out=col_min)
-    backward = np.max(col_min)
+    if not (np.isfinite(an).all() and np.isfinite(bn).all()):
+        return math.nan
+    forward = _directed_hausdorff_sq(an, bn)
+    backward = _directed_hausdorff_sq(bn, an)
     return float(np.sqrt(max(forward, backward)))
 
 

@@ -3,7 +3,8 @@
 ``bench/tracer.py`` wraps sympinv functions by name and raises when a name it
 binds has gone or moved, which stops every traced benchmark run.  This test
 installs it as the traced run does, switches both binding sets on and off
-around a small request, and checks that every original comes back.
+around a small signature and equivalence request, and checks that every
+original comes back and that the comparison was traced.
 """
 
 import sys
@@ -51,17 +52,26 @@ def test_tracer_binds_every_name_and_restores_the_originals(tmp_path):
     before = bindings()
     spans, counters = tracer_mod.install(tracer)
     assert_restored(before)
+    requests = (["signature", "--job", str(job)],
+                ["equivalence", "--job", str(job), "--job2", str(job)])
     try:
         for binding in (spans, counters):
             binding.switch(True)
-            assert tracer.run_root(lambda: cli.main(["signature", "--job", str(job)])) == 0
+            for argv in requests:
+                assert tracer.run_root(lambda: cli.main(argv)) == 0
             binding.switch(False)
             assert_restored(before)
     finally:
         spans.switch(False)
         counters.switch(False)
     assert_restored(before)
-    assert tracer.layers["frame"][0] == 1  # the 4 samples are one batched evaluation
+    # each cloud's 4 samples are one batched evaluation: one for the
+    # signature and two for the equivalence
+    assert tracer.layers["frame"][0] == 3
     assert tracer.layers["build"][0] > 0
+    # the equivalence reaches signature.hausdorff_distance through the name
+    # the tracer spans as `compare`
+    assert tracer.layers["compare"][0] == 1
+    assert tracer.counts["compare.dists"] == 4 * 4
     assert tracer.counts["kernels.madds"] > 0
     assert isinstance(sympinv.backend_name(), str)

@@ -17,7 +17,7 @@ from sympinv.geometry import (
     surface_chart,
 )
 from sympinv.exprs import parse
-from sympinv.prolong import jet_space_dimension, orbit_dimension
+from sympinv.prolong import ORBIT_DIMENSIONS, jet_space_dimension, orbit_dimension, orbit_table
 from sympinv import symplectic
 from sympinv.symplectic import (
     ContactSpace,
@@ -323,25 +323,26 @@ class TestPushforward:
 
 
 class TestOrbitDimensions:
-    def test_curves_r4_table(self):
-        dims = [orbit_dimension("curve", "sp", 2, k, seed=k) for k in range(4)]
-        assert dims == [4, 7, 9, 10]
+    """Sampled orbit ranks against `prolong.ORBIT_DIMENSIONS`, which states them."""
 
-    def test_hypersurfaces_r4_open_orbit_on_one_jets(self):
-        assert orbit_dimension("hypersurface", "sp", 2, 1, seed=1) == 7
-        assert jet_space_dimension("hypersurface", 2, 1) == 7
+    # (geometry, flavor, n, k) that this class checks: curves in R^2, R^4 and
+    # R^6 up to k = 2n, and the one-jet hypersurface and function rows
+    CASES = ({("curve", "sp", n, k) for n in (1, 2, 3) for k in range(2 * n + 1)}
+             | {("hypersurface", "sp", 2, 1), ("function", "sp", 1, 1)})
 
-    def test_functions_codimension_two_on_one_jets(self):
-        rank = orbit_dimension("function", "sp", 1, 1, seed=2)
-        assert rank == jet_space_dimension("function", 1, 1) - 2 == 3
+    def test_the_table_lists_every_case(self):
+        assert self.CASES <= {row[1:5] for row in ORBIT_DIMENSIONS}
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_curve_orbit_dimension_formula(self, n):
-        from math import comb
-        for k in range(0, 2 * n + 1):
-            expected = min(2 * (k + 1) * n - comb(k + 1, 2), n * (2 * n + 1))
-            got = orbit_dimension("curve", "sp", n, k, seed=10 * n + k)
-            assert got == expected, (n, k)
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_sampled_ranks_equal_the_table(self, seed):
+        assert [row for row in orbit_table(seed) if row[1] != row[2]] == []
+
+    def test_one_jet_rows_against_the_jet_space(self):
+        table = {row[1:5]: row[5] for row in ORBIT_DIMENSIONS}
+        # the hypersurface orbit is open in J^1; the function orbit has
+        # codimension 2
+        assert table["hypersurface", "sp", 2, 1] == jet_space_dimension("hypersurface", 2, 1) == 7
+        assert table["function", "sp", 1, 1] == jet_space_dimension("function", 1, 1) - 2
 
 
 class TestContactOrbitCounts:

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympinv.errors import IncomparableClouds
 from sympinv.exprs import parse
@@ -173,6 +175,79 @@ class TestBlockedHausdorff:
         a, b = self.clouds(n, m, r, seed=n + m + r)
         for x, y in ((a, b), (b, a)):
             assert hausdorff_distance(x, y).hex() == dense_hausdorff_distance(x, y).hex()
+
+    @staticmethod
+    def assert_dense_bits(a, b):
+        a, b = (p if hasattr(p, "points") else SimpleNamespace(points=np.asarray(p, dtype=float))
+                for p in (a, b))
+        for x, y in ((a, b), (b, a)):
+            assert hausdorff_distance(x, y).hex() == dense_hausdorff_distance(x, y).hex()
+
+    def test_nothing_pruned_when_one_cloud_is_one_point(self):
+        # every point of the cloud sorted shares the sort coordinate, so each
+        # window is the whole cloud
+        rng = np.random.default_rng(11)
+        self.assert_dense_bits(np.tile([[0.25, -1.5, 3.0]], (200, 1)), rng.normal(size=(150, 3)))
+
+    def test_nothing_pruned_from_a_centre_to_a_circle(self):
+        # every point of the circle is as far from the centre as the nearest one
+        t = np.linspace(0.0, 2 * np.pi, 257)
+        self.assert_dense_bits(np.zeros((40, 2)), np.c_[np.cos(t), np.sin(t)])
+
+    def test_every_point_on_one_value_of_a_coordinate(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(120, 3)), rng.normal(size=(90, 3))
+        a[:, 0] = b[:, 0] = 0.5
+        self.assert_dense_bits(a, b)
+
+    def test_exact_ties_and_duplicate_points(self):
+        rng = np.random.default_rng(13)
+        a = rng.integers(-2, 3, size=(300, 2)).astype(float)
+        b = np.vstack([a[::7], a[::7], rng.integers(-2, 3, size=(40, 2))])
+        self.assert_dense_bits(a, b)
+
+    def test_identical_clouds_are_at_distance_zero(self):
+        a = np.random.default_rng(14).normal(size=(500, 4))
+        self.assert_dense_bits(a, a.copy())
+        assert hausdorff_distance(SimpleNamespace(points=a), SimpleNamespace(points=a)) == 0.0
+
+    def test_one_cloud_inside_the_other(self):
+        a = np.random.default_rng(15).normal(size=(400, 3))
+        self.assert_dense_bits(a, a[::5])
+
+    def test_far_apart_clouds(self):
+        rng = np.random.default_rng(16)
+        self.assert_dense_bits(rng.normal(size=(300, 2)), rng.normal(size=(250, 2)) + 1e3)
+
+    @pytest.mark.parametrize("n,m,r", [(1, 1, 1), (1, 1, 3), (1, 200, 2), (200, 1, 2),
+                                       (300, 250, 1)])
+    def test_one_coordinate_and_one_point_clouds(self, n, m, r):
+        a, b = self.clouds(n, m, r, seed=17 + n + m + r)
+        self.assert_dense_bits(a, b)
+
+    @pytest.mark.parametrize("other,verdict", [("image", "equivalent"), ("cubic", "distinct")])
+    def test_the_verdict_pairs_of_the_benchmark(self, other, verdict):
+        # the parabola against its image under (t, t^2) -> (1.25 t + 0.5 t^2,
+        # 0.5 t + t^2), an Sp(2) element, and against the cubic: 2048 samples
+        # each, at the same seed
+        kw = dict(geometry="curve", flavor="sp", n=1, samples=2048, depth=1, seed=7,
+                  window=(0.5, 1.5))
+        base = signature_of({"y": parse("vars: x\nx^2")}, **kw)
+        if other == "image":
+            defs = [parse("vars: t\n1.25*t + 0.5*t^2"), parse("vars: t\n0.5*t + t^2")]
+            cloud = signature_of(defs, parametric=True, **kw)
+        else:
+            cloud = signature_of({"y": parse("vars: x\nx^3")}, **kw)
+        self.assert_dense_bits(base, cloud)
+        assert equivalent(base, cloud)[0] == verdict
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), r=st.integers(1, 4))
+    def test_integer_grid_clouds(self, data, r):
+        # small integer grids have many equal coordinates and equal distances
+        point = st.lists(st.integers(-3, 3), min_size=r, max_size=r)
+        a, b = (data.draw(st.lists(point, min_size=1, max_size=40)) for _ in range(2))
+        self.assert_dense_bits(a, b)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("in_b", [False, True])
