@@ -24,7 +24,9 @@ def mul_table(a, b, pi, pj, pr, n_out):
     """Truncated multivariate product through a precomputed pair table."""
     if a.ndim == 1:
         return np.bincount(pr, weights=a[pi] * b[pj], minlength=n_out)
-    return slot_sums(pr, a[pi] * b[pj], n_out)
+    terms = a[pi]
+    terms *= b[pj]  # in place: a batch's (T, B) products are the largest temporary
+    return slot_sums(pr, terms, n_out)
 
 
 def slot_sums(pr, terms, n_out):

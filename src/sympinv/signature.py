@@ -385,7 +385,7 @@ def signature_of(defs, geometry, flavor, n=None, samples=64, depth=1,
 
 # A pass of the comparison forms at most this many rows' worth of squared
 # distances, _HAUSDORFF_ROWS * M, which bounds its temporaries.
-_HAUSDORFF_ROWS = 32
+_HAUSDORFF_ROWS = 8
 
 
 def _directed_hausdorff_sq(x, y):
