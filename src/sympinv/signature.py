@@ -286,9 +286,12 @@ def psi_values(point, geometry, flavor, n, depth):
 # --- sampling ---------------------------------------------------------------------
 
 # A chunk of B samples is one batched pass; B x pair_count(p, order) products
-# per jet product bounds its width.  2^16 makes a 2048-sample plane curve one
-# chunk (pair_count(1, 6) = 28) and gives a p = 4 function job chunks of 21.
+# per jet product bounds its width, and so does _CHUNK_SAMPLES, since the
+# pass's jets grow with B as well.  A 2048-sample plane curve
+# (pair_count(1, 6) = 28) is two chunks of 1024, which takes the time of one
+# chunk of 2048 with half its memory, and a p = 4 function job has chunks of 21.
 _CHUNK_PRODUCTS = 2 ** 16
+_CHUNK_SAMPLES = 2 ** 10
 
 # The exceptions that make a sample degenerate.
 _DEGENERATE = (GeometryError, JetError, ZeroDivisionError)
@@ -304,9 +307,9 @@ def sample_psi(defs, geometry, flavor, n, samples, depth, window, seed, order=No
     ambient coordinate when parametric (curves only; `at` is the parameter).
 
     The points are drawn at once, which gives the doubles of one draw per
-    coordinate and sample.  Chunks of them (``_CHUNK_PRODUCTS``) are evaluated
-    as batched jets, one pass of the frame code per chunk, with the bits of
-    one pass per sample.  A chunk whose samples take different branches
+    coordinate and sample.  Chunks of them (``_CHUNK_PRODUCTS``,
+    ``_CHUNK_SAMPLES``) are evaluated as batched jets, one pass of the frame
+    code per chunk, with the bits of one pass per sample.  A chunk whose samples take different branches
     (``jets._Split``) is evaluated one sample at a time.
     """
     chart = CHARTS[geometry](n)
@@ -314,7 +317,8 @@ def sample_psi(defs, geometry, flavor, n, samples, depth, window, seed, order=No
     rng = np.random.default_rng(seed)
     lo, hi = window
     ats = [tuple(at) for at in rng.uniform(lo, hi, (samples, chart.n_independent)).tolist()]
-    width = max(1, _CHUNK_PRODUCTS // _tables.pair_count(chart.n_independent, order))
+    width = max(1, min(_CHUNK_SAMPLES,
+                       _CHUNK_PRODUCTS // _tables.pair_count(chart.n_independent, order)))
 
     def point_at(at):
         if parametric:
@@ -383,9 +387,9 @@ def signature_of(defs, geometry, flavor, n=None, samples=64, depth=1,
 
 # --- comparison ------------------------------------------------------------------
 
-# A pass of the comparison forms at most this many rows' worth of squared
-# distances, _HAUSDORFF_ROWS * M, which bounds its temporaries.
-_HAUSDORFF_ROWS = 8
+# A pass of the comparison forms at most _HAUSDORFF_ROWS * M squared distances,
+# which bounds its temporaries; small passes also skip rows sooner.
+_HAUSDORFF_ROWS = 4
 
 
 def _directed_hausdorff_sq(x, y):

@@ -353,7 +353,7 @@ class TestBatchedSampling:
     @pytest.mark.parametrize("exprs", [{"y": "x^2"},
                                        {"x": "0.9*t - 0.35*t^2", "y": "0.4*t + 0.95*t^2"}],
                              ids=["graph", "parametric"])
-    def test_a_2048_sample_parabola_is_one_chunk_with_the_same_rows(self, monkeypatch, exprs):
+    def test_a_2048_sample_parabola_in_two_chunks_has_the_same_rows(self, monkeypatch, exprs):
         kwargs = job_sampling("curve", "sp", 1, exprs, 2048, 1, seed=11)
         batched, single = batched_and_single(monkeypatch, kwargs)
         assert row_bytes(batched) == row_bytes(single)
@@ -374,8 +374,8 @@ class TestBatchedSampling:
         flags = [flag for _, _, flag in batched]
         assert 10 < flags.count("DomainError") < 54 and flags.count("") > 10
 
-    def test_product_calls_do_not_grow_with_the_sample_count(self, monkeypatch):
-        from sympinv import jets
+    def test_product_calls_grow_with_the_chunks_not_the_samples(self, monkeypatch):
+        from sympinv import jets, signature
 
         calls = []
         mul_table = jets.mul_table
@@ -386,11 +386,13 @@ class TestBatchedSampling:
 
         monkeypatch.setattr(jets, "mul_table", counted)
         counts = []
-        for samples in (512, 2048):
+        for samples in (256, 1024, 2048):
             calls.clear()
             curve_cloud("x^2 + x^3/4", samples=samples)
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        # a plane curve's chunks hold _CHUNK_SAMPLES = 1024 samples
+        assert signature._CHUNK_SAMPLES == 1024
+        assert counts[0] == counts[1] > 0 and counts[2] == 2 * counts[1]
 
 
 class TestWordsAndBlocks:
