@@ -288,8 +288,8 @@ def psi_values(point, geometry, flavor, n, depth):
 # A chunk of B samples is one batched pass; B x pair_count(p, order) products
 # per jet product bounds its width, and so does _CHUNK_SAMPLES, since the
 # pass's jets grow with B as well.  A 2048-sample plane curve
-# (pair_count(1, 6) = 28) is two chunks of 1024, which takes the time of one
-# chunk of 2048 with half its memory, and a p = 4 function job has chunks of 21.
+# (pair_count(1, 6) = 28) is two chunks of 1024, with half the peak memory of
+# one chunk and close to its time, and a p = 4 function job has chunks of 21.
 _CHUNK_PRODUCTS = 2 ** 16
 _CHUNK_SAMPLES = 2 ** 10
 
@@ -309,8 +309,9 @@ def sample_psi(defs, geometry, flavor, n, samples, depth, window, seed, order=No
     The points are drawn at once, which gives the doubles of one draw per
     coordinate and sample.  Chunks of them (``_CHUNK_PRODUCTS``,
     ``_CHUNK_SAMPLES``) are evaluated as batched jets, one pass of the frame
-    code per chunk, with the bits of one pass per sample.  A chunk whose samples take different branches
-    (``jets._Split``) is evaluated one sample at a time.
+    code per chunk, with the bits of one pass per sample.  A chunk whose
+    samples take different branches (``jets._Split``) is evaluated one sample
+    at a time.
     """
     chart = CHARTS[geometry](n)
     order = order if order is not None else default_order(geometry, n)
