@@ -169,19 +169,19 @@ class TestBlockedHausdorff:
         return (SimpleNamespace(points=rng.normal(size=(n, r))),
                 SimpleNamespace(points=rng.normal(size=(m, r)) * 1.5 + 0.25))
 
-    @pytest.mark.parametrize("n,m,r", [(2048, 2048, 2), (100, 3000, 3), (7, 5, 9), (1, 1, 1),
-                                       (300, 129, 12), (129, 1, 2)])
-    def test_bits_equal_the_dense_form(self, n, m, r):
-        a, b = self.clouds(n, m, r, seed=n + m + r)
-        for x, y in ((a, b), (b, a)):
-            assert hausdorff_distance(x, y).hex() == dense_hausdorff_distance(x, y).hex()
-
     @staticmethod
     def assert_dense_bits(a, b):
+        """Both argument orders give the bits of the dense form."""
         a, b = (p if hasattr(p, "points") else SimpleNamespace(points=np.asarray(p, dtype=float))
                 for p in (a, b))
         for x, y in ((a, b), (b, a)):
             assert hausdorff_distance(x, y).hex() == dense_hausdorff_distance(x, y).hex()
+
+    @pytest.mark.parametrize("n,m,r", [(2048, 2048, 2), (100, 3000, 3), (7, 5, 9), (1, 1, 1),
+                                       (300, 129, 12), (129, 1, 2), (1, 1, 3), (1, 200, 2),
+                                       (300, 250, 1)])
+    def test_bits_equal_the_dense_form(self, n, m, r):
+        self.assert_dense_bits(*self.clouds(n, m, r, seed=n + m + r))
 
     def test_nothing_pruned_when_one_cloud_is_one_point(self):
         # every point of the cloud sorted shares the sort coordinate, so each
@@ -218,12 +218,6 @@ class TestBlockedHausdorff:
     def test_far_apart_clouds(self):
         rng = np.random.default_rng(16)
         self.assert_dense_bits(rng.normal(size=(300, 2)), rng.normal(size=(250, 2)) + 1e3)
-
-    @pytest.mark.parametrize("n,m,r", [(1, 1, 1), (1, 1, 3), (1, 200, 2), (200, 1, 2),
-                                       (300, 250, 1)])
-    def test_one_coordinate_and_one_point_clouds(self, n, m, r):
-        a, b = self.clouds(n, m, r, seed=17 + n + m + r)
-        self.assert_dense_bits(a, b)
 
     @pytest.mark.parametrize("other,verdict", [("image", "equivalent"), ("cubic", "distinct")])
     def test_the_verdict_pairs_of_the_benchmark(self, other, verdict):
