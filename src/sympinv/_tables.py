@@ -5,15 +5,16 @@ stored as a flat vector over the graded-lex monomial list produced here; the
 layout of a lower order is a prefix of that of a higher one.  The product
 table enumerates every ordered coefficient pair that contributes to the
 truncated product; :func:`sympinv.kernels.mul_table` consumes it.  Its pairs
-are i-major, so the pairs whose first factor has degree >= d form a suffix.
-:func:`suffix_tables` hands out those suffixes of the table without its
-pairs whose second factor is the constant monomial (pj == 0), for the
-monomial jets of a composition: their right factor h = g - g(0) has an exact
-zero constant term, so those pairs add +-0 when its coefficients are finite.
-The reciprocal plan regroups the pairs with a non-constant first factor by
-the degree of their target, for the graded reciprocal.  The compose plan
-gives each monomial's parent in the recursion that builds the monomial jets
-of a composition.
+are i-major, so among the pairs of one target degree those whose first
+factor has degree >= d form a suffix.  The reciprocal plan regroups the
+pairs with a non-constant first factor by the degree of their target, for
+the graded reciprocal.  The compose plan gives each monomial's parent in the
+recursion that builds the monomial jets of a composition, and the basis plan
+lists that recursion's products one target degree at a time: each product
+h^parent * h_first takes the pairs of its degree whose first factor has
+degree >= deg(parent) and whose second factor is not the constant monomial
+(pj == 0), since h = g - g(0) has an exact zero constant term and those
+pairs add +-0 when its coefficients are finite.
 
 The product and partial tables are built with numpy.  The product table
 finds the target slot of an exponent sum through mixed-radix monomial keys
@@ -113,27 +114,6 @@ def pair_count(nvars, order):
 
 
 @lru_cache(maxsize=None)
-def suffix_tables(nvars, order):
-    """The product-table pairs of a monomial-jet product, by the degree of its left factor.
-
-    Entry d is (pi, pj, pr): the pairs of ``product_table(nvars, order)`` with
-    deg_i >= d and pj > 0, in table order.  They are views of one copy of the
-    table without its pj == 0 pairs, each a suffix of it, since the pairs are
-    i-major.  In a product a * h whose left factor vanishes below degree d
-    and whose right factor h has a zero constant term, every dropped pair
-    adds a +-0 product when the coefficients are finite; a bincount sum
-    starts at +0.0 and a +-0 term leaves any sum's bits unchanged, so the
-    kept pairs give the bits of the whole table.
-    """
-    pi, pj, pr = product_table(nvars, order)
-    keep = pj > 0
-    pi, pj, pr = pi[keep], pj[keep], pr[keep]
-    # count(nvars, d - 1) is the index of the first monomial of degree d
-    starts = np.searchsorted(pi, [count(nvars, d - 1) for d in range(order + 1)])
-    return tuple((pi[s:], pj[s:], pr[s:]) for s in starts)
-
-
-@lru_cache(maxsize=None)
 def reciprocal_plan(nvars, order):
     """The product-table pairs of the graded reciprocal, by target degree.
 
@@ -170,6 +150,48 @@ def compose_plan(nvars, order):
         first.append(k)
         parent.append(pos[sigma[:k] + (sigma[k] - 1,) + sigma[k + 1:]])
     return tuple(first), tuple(parent)
+
+
+@lru_cache(maxsize=None)
+def basis_plan(p, nvars, order):
+    """The products that build the monomial jets of a composition, by target degree.
+
+    The monomial jets h^sigma of p inner series in ``nvars`` variables are
+    the rows of one array: row sigma (graded-lex in p variables) holds
+    h^sigma in the order-``order`` layout of ``nvars`` variables, row 1 + j
+    holds h_j, and row sigma of degree d >= 2 is h^parent * h_first
+    (``compose_plan``).  Entry e (e = 0..order; entries 0 and 1 are empty) is
+    (start, width, steps): the slots start..start + width - 1 of degree e,
+    and one step (r, parent, 1 + first, pi, pj, pr) per row r of degree
+    2..e, in row order.  (pi, pj, pr) are the pairs of
+    ``product_table(nvars, order)`` with target degree e, deg_i >= d - 1 and
+    pj > 0, in table order, with pr counted from ``start``; the steps of one
+    row degree share one view of them.  Row h^parent vanishes below degree
+    d - 1 and h has a zero constant term, so with finite coefficients every
+    dropped pair adds +-0: a slot sums its kept pairs in table order onto
+    +0.0 and has the bits of the whole-table product.  The pairs of target
+    degree e are the same in every layout of order >= e, so the entries of
+    a lower order are a prefix of these.
+    """
+    pi, pj, pr = product_table(nvars, order)
+    target = np.array(degrees(nvars, order), dtype=np.int64)[pr]
+    first, parent = compose_plan(p, order)
+    out = [(0, 0, ()), (0, 0, ())]
+    for e in range(2, order + 1):
+        keep = np.flatnonzero((target == e) & (pj > 0))
+        epi, epj = pi[keep], pj[keep]
+        start = count(nvars, e - 1)
+        epr = pr[keep] - start
+        # pairs are i-major: deg_i >= d - 1 is the tail from the first
+        # monomial of degree d - 1, index count(nvars, d - 2)
+        cuts = np.searchsorted(epi, [count(nvars, d - 2) for d in range(2, e + 1)])
+        steps = []
+        for d, cut in zip(range(2, e + 1), cuts):
+            pairs = (epi[cut:], epj[cut:], epr[cut:])
+            steps.extend((r, parent[r], 1 + first[r]) + pairs
+                         for r in range(count(p, d - 1), count(p, d)))
+        out.append((start, count(nvars, e) - start, tuple(steps)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

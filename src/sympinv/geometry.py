@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _tables
 from .errors import GraphDegeneracy, SingularLinearPart
-from .jets import MultiJet, _factorial_multi, _sum, compose_many, invert_series
+from .jets import MultiJet, _factorial_multi, _sum, invert_series
 from .symplectic import ContactSpace, SymplecticSpace
 
 
@@ -331,18 +331,19 @@ def pushforward(point, element):
     apply_fn = element.apply_point if hasattr(element, "apply_point") else element
     coords = point.space_coordinate_jets()
     image = apply_fn(coords)
-    try:
-        inv = invert_series([image[i] for i in chart.independent])
-    except SingularLinearPart as err:
-        raise GraphDegeneracy(
-            f"transformed submanifold is not a graph over {chart.independent_names()}: {err}"
-        ) from err
     if chart.kind == "submanifold":
         img_jets = [image[chart.space.index(name)] for name in chart.dependent]
     else:
         img_jets = [point.jets[name] for name in chart.dependent]
-    new_jets = dict(zip(chart.dependent, compose_many(img_jets, inv)))
-    return JetPoint(chart, inv[0].basepoint, new_jets, point.order, point.exact)
+    independent = [image[i] for i in chart.independent]
+    try:
+        out = invert_series(independent, outers=img_jets)
+    except SingularLinearPart as err:
+        raise GraphDegeneracy(
+            f"transformed submanifold is not a graph over {chart.independent_names()}: {err}"
+        ) from err
+    new_jets = dict(zip(chart.dependent, out[len(independent):]))
+    return JetPoint(chart, out[0].basepoint, new_jets, point.order, point.exact)
 
 
 def parametric_curve_point(chart, component_jets, order):
@@ -354,9 +355,9 @@ def parametric_curve_point(chart, component_jets, order):
     """
     first = component_jets[0]
     try:
-        inv = invert_series([first])
+        out = invert_series([first], outers=component_jets[1:])
     except SingularLinearPart as err:
         raise GraphDegeneracy(f"curve is not a graph over {chart.space.names[0]}") from err
-    jets = dict(zip(chart.space.names[1:], compose_many(component_jets[1:], inv)))
+    jets = dict(zip(chart.space.names[1:], out[1:]))
     exact = any(j.exact for j in component_jets)
     return JetPoint(chart, (first.value(),), jets, order, exact)

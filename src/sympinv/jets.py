@@ -49,20 +49,20 @@ jet in one variable runs it on Python floats, each degree summed from +0.0 in
 the order of ``np.bincount``, so with the same bits.
 
 Composition with an inner map g takes the monomial jets h^sigma of
-h = g - g(0) once and evaluates every outer against them (``compose_many``):
-the inversion composes all p components of its nonlinear part with the same
-inner map on each pass, and a pushforward all dependent jets.  Both run on
-coefficient arrays, not on jets: the monomial jets are the rows of one array,
-built and met by the outers in one private routine (``_compose_rows``)
-through one ``np.einsum`` contraction rather than a BLAS ``gemm``, so results
-do not depend on the BLAS thread count.  A row of degree d vanishes below
-degree d, and h has an exact zero constant term, so its product runs over the
-pairs of the product table whose left factor has degree >= d - 1 and whose
-right factor is not the constant monomial (``_tables.suffix_tables``).  For
-finite coefficients every skipped pair adds +-0, so every coefficient keeps
-the bits of the whole-table product.  ``invert_series`` runs its
-growing-order passes on one (p, ncoeff) array and builds the p result jets
-once at the end.
+h = g - g(0) once and evaluates every outer against them (``compose_many``).
+It runs on coefficient arrays, not on jets: the monomial jets are the rows of
+one array, which one filler (``_fill_degree``) builds one degree at a time
+along ``_tables.basis_plan``, and the outers meet them in one ``np.einsum``
+contraction (``_contract``) rather than a BLAS ``gemm``, so results do not
+depend on the BLAS thread count.  A row of degree d vanishes below degree d,
+and h has an exact zero constant term, so its product runs over the pairs of
+the product table whose left factor has degree >= d - 1 and whose right
+factor is not the constant monomial.  For finite coefficients every skipped
+pair adds +-0, so every coefficient keeps the bits of the whole-table
+product.  ``invert_series`` keeps one such basis across its growing-order
+passes, each adding one degree to it, and a pushforward contracts its
+dependent jets against the same basis in the same call (``outers``), so
+every Taylor coefficient of every monomial jet is computed once.
 
 A float jet may also be a batch of B jets at B basepoints ("vector forward
 mode", Griewank and Walther, ch. 13): coefficients of shape (ncoeff, B), the
@@ -865,94 +865,114 @@ def compose_many(outers, inners):
 
     With h = g - g(0), the composite is sum_sigma c_sigma h^sigma, and the
     monomial jets h^sigma depend on the inners alone: they are built once,
-    each as h^parent * h_first along ``_tables.compose_plan``, and every
-    outer is evaluated against them.  Result i has order
-    min(outers[i].order, order of the inners), the basepoint object of the
-    first inner, and is exact when any outer or inner is.
-
-    The outers' coefficients are stacked into one array and the inners' h
-    into another, and both go to ``_compose_rows``, which the inversion uses
-    too: it builds the monomial jets as the rows of one array, each over the
-    product-table pairs of ``_tables.suffix_tables`` (no pair below the row's
-    degree, none with the constant monomial of h), and takes all outers in
-    one contraction.  For finite coefficients each float result has the bits
-    of the whole-table build.  A non-finite float inner value raises
-    ``DomainError``: the basepoint tolerance check alone passes an infinite
-    one (``inf <= inf``).
+    as the rows of one array, one degree at a time (``_fill_degree``), and
+    every outer is contracted against them (``_contract``).  Result i has
+    order min(outers[i].order, order of the inners), the basepoint object of
+    the first inner, and is exact when any outer or inner is.  For finite
+    coefficients each float result has the bits of the whole-table build.  A
+    non-finite float inner value raises ``DomainError``: the basepoint
+    tolerance check alone passes an infinite one (``inf <= inf``).
+    ``invert_series`` composes with an inverse map through the same basis
+    it builds for the inversion.
     """
     outers = list(outers)
     inners = list(inners)
     p = len(inners)
     exact = inners[0].exact if inners else False
     batch = inners[0].coeffs.shape[1:] if inners else ()
-    if any(g.exact != exact or g.coeffs.shape[1:] != batch for g in outers + inners):
+    if any(g.exact != exact or g.coeffs.shape[1:] != batch for g in inners):
         raise TypeError("float and exact jets, or batches of different widths, do not mix")
     if not exact and any(_nonfinite(g.value()) for g in inners):
         raise DomainError(f"non-finite inner value {[g.value() for g in inners]!r}")
-    for outer in outers:
-        if outer.nvars != p:
-            raise TypeError(f"outer expects {outer.nvars} inner jets, got {p}")
-        for c, g in zip(outer.basepoint, inners):
-            if not _same_base(g.value(), c, exact):
-                raise BasepointMismatch(
-                    f"inner value {g.value()!r} != outer basepoint coordinate {c!r}"
-                )
+    _check_outers(outers, [g.value() for g in inners], exact, batch)
     if not outers:
         return []
     inner_order = min(g.order for g in inners)
-    orders = [min(o.order, inner_order) for o in outers]
-    order = max(orders)
-    dtype = object if exact else np.float64
-
+    order = min(max(o.order for o in outers), inner_order)
     nvars = inners[0].nvars
     n_cols = _tables.count(nvars, order)
-    h = np.stack([g.coeffs[:n_cols] for g in inners]).astype(dtype, copy=False)
+    # rows through degree 1 even at order 0, so that h has its p rows
+    basis = np.zeros((_tables.count(p, max(order, 1)), n_cols) + batch,
+                     dtype=object if exact else np.float64)
+    basis[0, 0] = 1
+    h = basis[1:p + 1]
+    for row, g in zip(h, inners):
+        row[...] = g.coeffs[:n_cols]
     h[:, 0] -= h[:, 0]  # g - g(0): +0.0 for a finite float value
-    stacked = np.zeros((len(outers), _tables.count(p, order)) + batch, dtype=dtype)
+    plan = _tables.basis_plan(p, nvars, order)
+    mul = _mul_object if exact else mul_table
+    for e in range(2, order + 1):
+        _fill_degree(basis, plan[e], mul)
+    return _contract(outers, basis, inner_order, inners[0])
+
+
+def _check_outers(outers, values, exact, batch):
+    """Raise unless every outer has the mode and batch width given, one
+    variable per inner value and a basepoint equal to those values."""
+    if any(o.exact != exact or o.coeffs.shape[1:] != batch for o in outers):
+        raise TypeError("float and exact jets, or batches of different widths, do not mix")
+    for outer in outers:
+        if outer.nvars != len(values):
+            raise TypeError(f"outer expects {outer.nvars} inner jets, got {len(values)}")
+        for c, v in zip(outer.basepoint, values):
+            if not _same_base(v, c, exact):
+                raise BasepointMismatch(f"inner value {v!r} != outer basepoint coordinate {c!r}")
+
+
+def _fill_degree(basis, entry, mul):
+    """Fill the degree-e slots of the rows of degree 2..e of a monomial basis.
+
+    ``basis`` holds the monomial jets h^sigma as rows, ``entry`` is entry e
+    of ``_tables.basis_plan``: each step writes one row's slots of degree e
+    as one product h^parent * h_first over its pairs, which read the two
+    factors below degree e only.  So once the rows of degree 1 hold h
+    through degree e - 1, and every row its slots below degree e, the rows
+    of degree >= 2 are complete through degree e, with the bits of a
+    whole-table build.  ``mul`` is ``mul_table`` for floats and
+    ``_mul_object`` for object arrays; a batch adds a last axis to
+    ``basis``.
+    """
+    start, width, steps = entry
+    stop = start + width
+    for r, a, b, pi, pj, pr in steps:
+        basis[r, start:stop] = mul(basis[a], basis[b], pi, pj, pr, width)
+
+
+def _contract(outers, basis, inner_order, like):
+    """The composites of the outers with the map whose monomial jets are the
+    rows of ``basis``, at the basepoint object of the jet ``like``.
+
+    Result i has order min(outers[i].order, inner_order); the outers are
+    zero-padded to the highest of these orders and contracted against the
+    leading block of the basis in one ``np.einsum`` rather than a BLAS
+    ``gemm``, so results do not depend on the BLAS thread count.  Without
+    ``optimize`` it sums in numpy's own fixed loop order, over m from 0.0 in
+    m order, in each batch column as for one jet.
+    """
+    p, nvars = outers[0].nvars, like.nvars
+    orders = [min(o.order, inner_order) for o in outers]
+    order = max(orders)
+    stacked = np.zeros((len(outers), _tables.count(p, order)) + basis.shape[2:],
+                       dtype=basis.dtype)
     for i, (outer, k) in enumerate(zip(outers, orders)):
         m = _tables.count(p, k)
         stacked[i, :m] = outer.coeffs[:m]
-    res = _compose_rows(stacked, h, nvars, order)
-    return [inners[0]._new(row[: _tables.count(nvars, k)], k, exact)
+    block = basis[:stacked.shape[1], :_tables.count(nvars, order)]
+    res = np.einsum("km...,mn...->kn...", stacked, block)
+    return [like._new(row[:_tables.count(nvars, k)], k, like.exact)
             for row, k in zip(res, orders)]
 
 
-def _compose_rows(stacked, h, nvars, order):
-    """``stacked @ M`` for the monomial jets M[sigma] = h^sigma, on arrays.
-
-    ``stacked`` is a C-contiguous (outers, count(p, order)) array of outer
-    coefficients in p variables; ``h`` holds p inner rows in the order-``order``
-    layout of ``nvars`` variables, each with a zero constant term, in the same
-    dtype.  A batch adds a last axis of width B to both.  Row sigma of M is
-    h^parent * h_first (``_tables.compose_plan``); for degree d >= 2 the
-    product runs over ``_tables.suffix_tables(nvars, order)[d - 1]``.  A float
-    product is the ``mul_table`` of this module, looked up at call time, and
-    an object one ``_mul_object``.  ``np.einsum`` without ``optimize`` sums in
-    numpy's own fixed loop order, over m from 0.0 in m order, in each batch
-    column as for one jet.
-    """
-    first, parent = _tables.compose_plan(h.shape[0], order)
-    deg = _tables.degrees(h.shape[0], order)
-    suffixes = _tables.suffix_tables(nvars, order)
-    n_cols = h.shape[1]
-    mul = _mul_object if h.dtype == object else mul_table
-    basis = np.zeros((len(first),) + h.shape[1:], dtype=h.dtype)
-    basis[0, 0] = 1
-    for r in range(1, len(first)):
-        if parent[r] == 0:
-            basis[r] = h[first[r]]
-        else:
-            basis[r] = mul(basis[parent[r]], h[first[r]], *suffixes[deg[r] - 1], n_cols)
-    return np.einsum("km...,mn...->kn...", stacked, basis)
-
-
-def invert_series(jets):
-    """Inverse of a jet map through its order.
+def invert_series(jets, outers=()):
+    """Inverse of a jet map through its order, and composites with it.
 
     Takes a sequence of p jets in p variables and returns the p jets of the
     inverse map centered at the image point, so
-    ``compose_many(jets, invert_series(jets))`` is the identity through order K.
-    The p results share one basepoint tuple, and are exact when any jet is.
+    ``compose_many(jets, invert_series(jets))`` is the identity through order K,
+    followed by ``compose_many(outers, inverse)``: one jet per outer in p
+    variables, at the inverse's value, of order min(outer.order, K).  All
+    results share one basepoint tuple, and are exact when any jet is.  A map
+    of order 0 has no linear part to invert (``OrderExhausted``).
 
     Writing s(x) = b + L(x - a) + N(x - a) with N of order >= 2, the inverse
     t solves t = a + L^-1 (y - b - N(t - a)).  Starting from the affine t_1,
@@ -962,17 +982,30 @@ def invert_series(jets):
     Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  The results equal
     those of K - 1 full-order passes.
 
-    The passes run on one (p, ncoeff) array, float64 or object.  In float
-    mode they keep the bits of the same passes on jets: the affine step adds
+    The monomial jets h^sigma of h = t - t(0) are the rows of one
+    (count(p, K), count(p, K)) array kept across the passes, and each pass
+    adds one degree to them: pass k writes the degree-(k - 1) coefficients
+    of t into the rows of degree 1, fills the degree-k slots of the rows of
+    degree 2..k (``_fill_degree``), and contracts N against the leading
+    order-k block, so every coefficient of every row is computed once.
+    After the last pass the rows of degree 1 take t's degree-K coefficients,
+    which no row of degree >= 2 reads, and the outers are contracted
+    against the same basis (``_contract``).  Each result has the bits of the
+    inversion followed by ``compose_many``.
+
+    The passes run on (p, ncoeff) arrays, float64 or object.  In float mode
+    they keep the bits of the same passes on jets: the affine step adds
     ``rhs[j] * Linv[i, j]`` in j order onto rows holding a_i at slot 0 and
     a_i * 0 elsewhere, as a constant jet does; N is s with slots 0..p set to
     zero (the jet-level N may hold -0.0 there, but y - N(t) gives the same
-    bits for either zero); pass k zero-pads the order-(k-1) rows and composes
-    through ``_compose_rows``.  A non-finite float coefficient of the map
-    raises ``DomainError`` before the linear part is inverted, and so does an
-    inverse that overflows, so no non-finite jet is returned.
+    bits for either zero); pass k composes the order-(k-1) t, zero-padded.
+    A non-finite float coefficient of the map raises ``DomainError`` before
+    the linear part is inverted, and so does an inverse that overflows, so
+    no non-finite jet is returned.  The outers are checked as
+    ``compose_many`` checks them, after the inversion.
     """
     jets = list(jets)
+    outers = list(outers)
     p = len(jets)
     if any(g.nvars != p for g in jets):
         raise TypeError("need p jets in p variables")
@@ -981,6 +1014,8 @@ def invert_series(jets):
     if any(g.exact != exact or g.coeffs.shape[1:] != batch for g in jets):
         raise TypeError("float and exact jets, or batches of different widths, do not mix")
     order = min(g.order for g in jets)
+    if order < 1:
+        raise OrderExhausted("inverting a jet map of order 0, which has no linear part")
     dtype = object if exact else np.float64
 
     n = _tables.count(p, order)
@@ -1005,19 +1040,31 @@ def invert_series(jets):
         rows = np.eye(p, cols, 1, dtype=dtype)
         return rows[..., None] if batch else rows
 
-    # y - b is the identity; pass k zero-pads the order-(k-1) rows into h,
-    # whose slot 0 keeps a zero: t - t(0) for a finite t
+    # the rows of degree 1 are h = t - t(0): slot 0 keeps its zero, and a
+    # slot of degree k stays zero until pass k + 1 writes it
+    basis = np.zeros((n, n) + batch, dtype=dtype)
+    basis[0, 0] = 1
+    h = basis[1:p + 1]
+    plan = _tables.basis_plan(p, p, order)
+    mul = _mul_object if exact else mul_table
     t = affine_step(eye(p + 1))
     for k in range(2, order + 1):
-        n_k = _tables.count(p, k)
-        h = np.zeros((p, n_k) + batch, dtype=dtype)
-        h[:, 1:t.shape[1]] = t[:, 1:]
-        n_of_t = _compose_rows(n_part[:, :n_k].copy(), h, p, k)
+        lo, n_k = _tables.count(p, k - 2), _tables.count(p, k)
+        h[:, lo:t.shape[1]] = t[:, lo:]
+        _fill_degree(basis, plan[k], mul)
+        stacked = n_part[:, :n_k].copy()
+        n_of_t = np.einsum("km...,mn...->kn...", stacked, basis[:n_k, :n_k])
         t = affine_step(eye(n_k) - n_of_t)
     if not exact and _has_nonfinite(t):
         raise DomainError("the inverse of the jet map overflows")
     base = tuple(s[:, 0])
-    return [MultiJet(p, order, row, base, exact=exact) for row in t]
+    inverse = [MultiJet(p, order, row, base, exact=exact) for row in t]
+    _check_outers(outers, list(t[:, 0]), exact, batch)
+    if not outers:
+        return inverse
+    lo = _tables.count(p, order - 1)
+    h[:, lo:] = t[:, lo:]
+    return inverse + _contract(outers, basis, order, inverse[0])
 
 
 def _invert_matrix(rows, exact):

@@ -23,6 +23,11 @@ from .signature import RECIPES
 # whose three int64 arrays alone take 225 MB.
 MAX_PRODUCT_PAIRS = 50_000
 
+# Most samples a job may draw.  The sampler draws every point at once and
+# keeps one row per sample, about 0.2 KB each before any evaluation, so a
+# million samples stay within a few hundred MB.
+MAX_SAMPLES = 1_000_000
+
 # Header keys a job may set; geometry and flavor have no default.
 HEADER_KEYS = ("geometry", "flavor", "n", "window", "samples", "depth", "seed", "format")
 
@@ -127,6 +132,9 @@ class JobSpec:
             raise JobError("samples/depth/seed must be integers", field="samples") from None
         if samples < 1:
             raise JobError("samples must be positive", field="samples")
+        if samples > MAX_SAMPLES:
+            raise JobError(f"samples = {samples} is above the limit of {MAX_SAMPLES}",
+                           field="samples")
         if depth < 0:
             raise JobError("depth must be >= 0", field="depth")
         if seed < 0:

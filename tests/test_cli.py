@@ -13,10 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympinv import _tables
+from sympinv import signature as sig_mod
 from sympinv.cli import main
 from sympinv.errors import JobError
 from sympinv.geometry import CHARTS, default_order, n_independent
-from sympinv.jobs import MAX_PRODUCT_PAIRS, JobSpec
+from sympinv.jobs import MAX_PRODUCT_PAIRS, MAX_SAMPLES, JobSpec
 
 PARABOLA = """\
 geometry = curve
@@ -298,6 +299,25 @@ class TestInvariantsCommand:
         assert main(["invariants", "--job", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "too large" in err
+
+    @pytest.mark.parametrize("command", ["invariants", "signature"])
+    def test_too_many_samples_exit_2_without_sampling(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(sig_mod, "sample_psi", refuse)
+        monkeypatch.setattr(sig_mod, "signature_of", refuse)
+        path = write(tmp_path, "ok.job", PARABOLA)
+        assert main([command, "--job", path, "--samples", "99999999999"]) == 2
+        assert "above the limit" in capsys.readouterr().err
+        big = PARABOLA.replace("samples = 4", f"samples = {MAX_SAMPLES + 1}")
+        assert main([command, "--job", write(tmp_path, "big.job", big)]) == 2
+        assert "above the limit" in capsys.readouterr().err
+
+    def test_the_sample_limit_itself_is_accepted(self):
+        job = JobSpec.from_text(PARABOLA.replace("samples = 4", f"samples = {MAX_SAMPLES}"))
+        assert job.samples == MAX_SAMPLES
 
     @pytest.mark.parametrize("expr,window", [
         ("x^2 + 2^2000", "1:2"), ("exp(x)", "1e100:1e101"), ("log(exp(x))", "710:738"),

@@ -745,6 +745,15 @@ class TestArrayInversion:
         with pytest.raises((JetError, GeometryError)):
             invert_series(maps)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_an_order_0_map_has_nothing_to_invert(self, exact):
+        maps = [g.truncate(0) for g in random_map(np.random.default_rng(19), 2, 3, exact=exact)]
+        with pytest.raises(OrderExhausted):
+            invert_series(maps)
+        (single,) = random_map(np.random.default_rng(20), 1, 2, exact=exact)
+        with pytest.raises(OrderExhausted):
+            invert_series([single.truncate(0)])
+
     def test_an_overflowing_inverse_raises(self):
         (tiny,) = random_map(np.random.default_rng(18), 1, 3)
         tiny.coeffs[1] = 1e-200  # the inverse's linear coefficient is 1e200
@@ -767,21 +776,193 @@ class TestInversionWork:
         maps = random_map(np.random.default_rng(5), 5, 6)
         invert_series(maps)
         new_calls, new_madds = len(calls), sum(calls)
-        # pass k builds the monomial jets of degree 2..k once, one product
-        # each at order k, and shares them among the 5 outer jets (composing
-        # each outer on its own took 5 times as many: 4435 calls and
-        # 22,628,980 madds); a row of degree d only takes the pairs whose
-        # first factor has degree >= d - 1 and whose second factor is not
-        # the constant monomial (the whole table took 4,525,796 and the
-        # degree suffix with its constant-partner pairs 1,486,732)
+        # pass k fills the degree-k slots of the monomial jets of degree
+        # 2..k, one product per row over the pairs that land in degree k, and
+        # shares them among the 5 outer jets (composing each outer on its
+        # own took 4435 calls and 22,628,980 madds); so the passes build the
+        # order-6 basis once, each coefficient once.  Rebuilding every row
+        # at order k on pass k took the same 887 calls and 1,241,730 madds
+        # over the degree suffixes of the table (4,525,796 over the whole
+        # table).
+        plan = _tables.basis_plan(5, 5, 6)
         assert new_calls == sum(_tables.count(5, k) - 6 for k in range(2, 7)) == 887
-        assert new_madds == sum(len(_tables.suffix_tables(5, k)[d - 1][0])
-                                for k in range(2, 7)
-                                for d in _tables.degrees(5, k) if d >= 2) == 1241730
+        assert new_madds == sum(len(step[3]) for _, _, steps in plan for step in steps) == 975255
         calls.clear()
         fixed_point_inverse(maps)
         assert len(calls) == 5 * 5 * (_tables.count(5, 6) - 6) == 11400
         assert sum(calls) > 2 * new_madds
+
+    def test_a_pushforward_is_one_build(self, monkeypatch):
+        """The composites of a pushforward reuse the inversion's basis: the
+        inversion plus 4 composites of order 6 is still 975,255 products,
+        where ``compose_many`` after the inversion builds them again."""
+        calls = []
+        real = jets.mul_table
+
+        def counting(a, b, pi, pj, pr, n_out):
+            calls.append(len(pi))
+            return real(a, b, pi, pj, pr, n_out)
+
+        monkeypatch.setattr(jets, "mul_table", counting)
+        rng = np.random.default_rng(6)
+        maps = random_map(rng, 5, 6)
+        outers = [MultiJet(5, 6, rng.uniform(-1, 1, 462), maps[0].basepoint) for _ in range(4)]
+        got = invert_series(maps, outers=outers)
+        assert len(got) == 9
+        assert (len(calls), sum(calls)) == (887, 975255)
+        # compose_many builds the same basis with the same filler, degree by
+        # degree (row by row at order 6 took 456 calls for the same pairs)
+        calls.clear()
+        compose_many(outers, got[:5])
+        assert (len(calls), sum(calls)) == (887, 975255)
+
+
+def suffix_row_basis(h, order):
+    """The monomial jets h^sigma of p rows h (order-``order`` layout, zero
+    constant terms) as rows, each built whole by one product over the pairs
+    with deg_i >= deg(sigma) - 1 and pj > 0: one build per order, the
+    composition the graded basis replaced."""
+    p, n_cols = h.shape[:2]
+    pi, pj, pr = _tables.product_table(p, order)
+    deg_i = np.array(_tables.degrees(p, order))[pi]
+    first, parent = _tables.compose_plan(p, order)
+    deg = _tables.degrees(p, order)
+    mul = jets._mul_object if h.dtype == object else kernels.mul_table
+    basis = np.zeros((len(first),) + h.shape[1:], dtype=h.dtype)
+    basis[0, 0] = 1
+    for r in range(1, len(first)):
+        if parent[r] == 0:
+            basis[r] = h[first[r]]
+        else:
+            keep = (deg_i >= deg[r] - 1) & (pj > 0)
+            basis[r] = mul(basis[parent[r]], h[first[r]], pi[keep], pj[keep], pr[keep], n_cols)
+    return basis
+
+
+def two_build_pushforward(maps, outers):
+    """Coefficients of ``invert_series(maps)`` followed by
+    ``compose_many(outers, inverse)``, as the array passes ran with a fresh
+    ``suffix_row_basis`` on every inversion pass and one more for the
+    composition."""
+    p = len(maps)
+    order = min(g.order for g in maps)
+    exact = maps[0].exact
+    batch = maps[0].coeffs.shape[1:]
+    dtype = object if exact else np.float64
+    n = _tables.count(p, order)
+    s = np.stack([g.coeffs[:n] for g in maps]).astype(dtype, copy=False)
+    a = np.array(maps[0].basepoint, dtype=dtype)
+    linv = jets._invert_matrix(s[:, 1:p + 1], exact)
+    n_part = s.copy()
+    n_part[:, :p + 1] = 0
+
+    def affine_step(rhs):
+        t = np.zeros((p, rhs.shape[1]) + batch, dtype=dtype)
+        t[:, 0] = 1
+        t *= a[:, None]
+        for j in range(p):
+            t += linv[:, j, None] * rhs[j]
+        return t
+
+    def eye(cols):
+        rows = np.eye(p, cols, 1, dtype=dtype)
+        return rows[..., None] if batch else rows
+
+    t = affine_step(eye(p + 1))
+    for k in range(2, order + 1):
+        n_k = _tables.count(p, k)
+        h = np.zeros((p, n_k) + batch, dtype=dtype)
+        h[:, 1:t.shape[1]] = t[:, 1:]
+        n_of_t = np.einsum("km...,mn...->kn...", n_part[:, :n_k].copy(), suffix_row_basis(h, k))
+        t = affine_step(eye(n_k) - n_of_t)
+    orders = [min(o.order, order) for o in outers]
+    top = max(orders)
+    n_top = _tables.count(p, top)
+    h = t[:, :n_top].copy()
+    h[:, 0] -= h[:, 0]
+    stacked = np.zeros((len(outers), n_top) + batch, dtype=dtype)
+    for i, (outer, k) in enumerate(zip(outers, orders)):
+        stacked[i, :_tables.count(p, k)] = outer.coeffs[:_tables.count(p, k)]
+    res = np.einsum("km...,mn...->kn...", stacked, suffix_row_basis(h, top))
+    return list(t) + [row[:_tables.count(p, k)] for row, k in zip(res, orders)]
+
+
+def pushforward_case(rng, p, order, mode, width=None):
+    """A random invertible map and outers of orders 0..order + 1 at its
+    basepoint; ``mode`` is "float", "fraction" or "dual", and ``width`` a
+    float batch width."""
+    from sympinv.rational import Dual
+
+    exact = mode != "float"
+    if width is None:
+        maps = random_map(rng, p, order, exact=exact)
+    else:
+        columns = [random_map(rng, p, order) for _ in range(width)]
+        maps = [batch_of([col[i] for col in columns]) for i in range(p)]
+    if mode == "dual":
+        maps = [MultiJet(p, order, [Dual(c, Fraction(int(rng.integers(-3, 4)), 2))
+                                    for c in g.coeffs], g.basepoint, exact=True)
+                for g in maps]
+    base = maps[0].basepoint
+    outers = []
+    for k in sorted({0, max(order - 1, 0), order, order + 1}):
+        shape = (_tables.count(p, k),) + maps[0].coeffs.shape[1:]
+        if exact:
+            coeffs = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+                      for _ in range(shape[0])]
+            if mode == "dual":
+                coeffs = [Dual(c, c / 2) for c in coeffs]
+        else:
+            coeffs = rng.uniform(-1, 1, shape)
+        outers.append(MultiJet(p, k, coeffs, base, exact=exact))
+    return maps, outers
+
+
+class TestOneCallPushforward:
+    """``invert_series(maps, outers)`` against the inversion followed by
+    ``compose_many``, each building its monomial jets afresh."""
+
+    @pytest.mark.parametrize("width", [None, 3])
+    @pytest.mark.parametrize("p", range(1, 6))
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_float_bits_equal_the_two_builds(self, p, order, width):
+        rng = np.random.default_rng(1300 + 10 * p + order + (width or 0))
+        maps, outers = pushforward_case(rng, p, order, "float", width)
+        got = invert_series(maps, outers=outers)
+        want = two_build_pushforward(maps, outers)
+        assert len(got) == len(want) == p + len(outers)
+        for g, w in zip(got, want):
+            assert g.basepoint is got[0].basepoint
+            assert g.coeffs.tobytes() == w.tobytes()
+        assert [g.order for g in got[p:]] == [min(o.order, order) for o in outers]
+        # the inverse alone has the same bits
+        for g, w in zip(invert_series(maps), got):
+            assert g.coeffs.tobytes() == w.coeffs.tobytes()
+
+    @pytest.mark.parametrize("mode,p,order", [
+        ("fraction", 1, 5), ("fraction", 2, 4), ("fraction", 3, 3), ("fraction", 5, 2),
+        ("dual", 1, 4), ("dual", 2, 3), ("dual", 3, 2),
+    ])
+    def test_exact_values_equal_the_two_builds(self, mode, p, order):
+        rng = np.random.default_rng(1400 + 10 * p + order + len(mode))
+        maps, outers = pushforward_case(rng, p, order, mode)
+        got = invert_series(maps, outers=outers)
+        want = two_build_pushforward(maps, outers)
+        assert len(got) == len(want) == p + len(outers)
+        for g, w in zip(got, want):
+            assert g.exact and same_coeffs(g, list(w))
+
+    def test_outers_are_checked_as_compose_many_checks_them(self):
+        rng = np.random.default_rng(15)
+        maps = random_map(rng, 2, 3)
+        base = maps[0].basepoint
+        with pytest.raises(TypeError, match="inner jets"):
+            invert_series(maps, outers=[MultiJet.variable(0, 1, 3, base[:1])])
+        with pytest.raises(BasepointMismatch):
+            invert_series(maps, outers=[MultiJet.variable(0, 2, 3, (base[0] + 1, base[1]))])
+        exact = MultiJet.variable(0, 2, 3, tuple(Fraction(c) for c in base), exact=True)
+        with pytest.raises(TypeError, match="do not mix"):
+            invert_series(maps, outers=[exact])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

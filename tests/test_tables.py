@@ -115,17 +115,31 @@ def test_keys_that_overflow_int64_are_refused():
     assert_partial_table_is_a_gather(62, 1, 0)
 
 
-@pytest.mark.parametrize("nvars,order", [(1, 7), (2, 6), (3, 5), (5, 6), (8, 3)])
-def test_suffix_tables_start_at_each_degree(nvars, order):
-    """Entry d holds the pairs with deg_i >= d and pj > 0, in table order,
-    as tails of one array."""
+@pytest.mark.parametrize("p,nvars,order", [(1, 1, 7), (2, 2, 6), (3, 3, 5), (5, 5, 6),
+                                           (8, 8, 3), (2, 4, 5), (4, 1, 6)])
+def test_basis_plan_lists_each_degrees_pairs(p, nvars, order):
+    """Entry e holds one step per row of degree 2..e with the pairs that land
+    in degree e, deg_i >= deg(row) - 1 and pj > 0, in table order; a lower
+    order's plan is a prefix."""
     pi, pj, pr = _tables.product_table(nvars, order)
     deg = np.array(_tables.degrees(nvars, order))
-    suffixes = _tables.suffix_tables(nvars, order)
-    assert len(suffixes) == order + 1
-    for d, views in enumerate(suffixes):
-        keep = (deg[pi] >= d) & (pj > 0)
-        for view, full, whole in zip(views, (pi, pj, pr), suffixes[0]):
-            assert np.array_equal(view, full[keep])
-            assert len(view) == 0 or np.shares_memory(view, whole)
-            assert np.array_equal(view, whole[len(whole) - len(view):])
+    row_deg = _tables.degrees(p, order)
+    first, parent = _tables.compose_plan(p, order)
+    plan = _tables.basis_plan(p, nvars, order)
+    assert len(plan) == order + 1 and plan[0][2] == plan[1][2] == ()
+    for e in range(2, order + 1):
+        start, width, steps = plan[e]
+        assert (start, start + width) == (_tables.count(nvars, e - 1), _tables.count(nvars, e))
+        assert [step[0] for step in steps] == list(range(p + 1, _tables.count(p, e)))
+        for r, a, b, *views in steps:
+            assert (a, b) == (parent[r], 1 + first[r])
+            keep = (deg[pr] == e) & (deg[pi] >= row_deg[r] - 1) & (pj > 0)
+            for view, full in zip(views, (pi, pj, pr - start)):
+                assert np.array_equal(view, full[keep])
+        for (_, _, _, *these), (_, _, _, *prev) in zip(steps[1:], steps):
+            assert all(np.shares_memory(x, y) for x, y in zip(these, prev))
+    lower = _tables.basis_plan(p, nvars, order - 1)
+    for mine, theirs in zip(plan, lower):
+        assert mine[:2] == theirs[:2] and len(mine[2]) == len(theirs[2])
+        for x, y in zip(mine[2], theirs[2]):
+            assert x[:3] == y[:3] and all(np.array_equal(u, v) for u, v in zip(x[3:], y[3:]))
