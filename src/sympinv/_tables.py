@@ -163,7 +163,7 @@ def basis_plan(p, nvars, order):
     (``compose_plan``).  Entry e (e = 0..order; entries 0 and 1 are empty) is
     (start, width, steps): the slots start..start + width - 1 of degree e,
     and one step (r, parent, 1 + first, pi, pj, pr) per row r of degree
-    2..e, in row order.  (pi, pj, pr) are the pairs of
+    d = 2..e, in row order.  (pi, pj, pr) are the pairs of
     ``product_table(nvars, order)`` with target degree e, deg_i >= d - 1 and
     pj > 0, in table order, with pr counted from ``start``; the steps of one
     row degree share one view of them.  Row h^parent vanishes below degree

@@ -969,10 +969,11 @@ def invert_series(jets, outers=()):
     Takes a sequence of p jets in p variables and returns the p jets of the
     inverse map centered at the image point, so
     ``compose_many(jets, invert_series(jets))`` is the identity through order K,
-    followed by ``compose_many(outers, inverse)``: one jet per outer in p
-    variables, at the inverse's value, of order min(outer.order, K).  All
-    results share one basepoint tuple, and are exact when any jet is.  A map
-    of order 0 has no linear part to invert (``OrderExhausted``).
+    followed by ``compose_many(outers, inverse)``: the outers are jets in p
+    variables at the inverse's value (the map's basepoint), and composite i
+    has order min(outers[i].order, K).  All results share one basepoint
+    tuple, and are exact when any jet is.  A map of order 0 has no linear
+    part to invert (``OrderExhausted``).
 
     Writing s(x) = b + L(x - a) + N(x - a) with N of order >= 2, the inverse
     t solves t = a + L^-1 (y - b - N(t - a)).  Starting from the affine t_1,

@@ -133,7 +133,7 @@ class JobSpec:
         if samples < 1:
             raise JobError("samples must be positive", field="samples")
         if samples > MAX_SAMPLES:
-            raise JobError(f"samples = {samples} is above the limit of {MAX_SAMPLES}",
+            raise JobError(f"samples must be at most {MAX_SAMPLES} (got {samples})",
                            field="samples")
         if depth < 0:
             raise JobError("depth must be >= 0", field="depth")

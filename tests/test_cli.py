@@ -310,10 +310,10 @@ class TestInvariantsCommand:
         monkeypatch.setattr(sig_mod, "signature_of", refuse)
         path = write(tmp_path, "ok.job", PARABOLA)
         assert main([command, "--job", path, "--samples", "99999999999"]) == 2
-        assert "above the limit" in capsys.readouterr().err
+        assert f"at most {MAX_SAMPLES}" in capsys.readouterr().err
         big = PARABOLA.replace("samples = 4", f"samples = {MAX_SAMPLES + 1}")
         assert main([command, "--job", write(tmp_path, "big.job", big)]) == 2
-        assert "above the limit" in capsys.readouterr().err
+        assert f"at most {MAX_SAMPLES}" in capsys.readouterr().err
 
     def test_the_sample_limit_itself_is_accepted(self):
         job = JobSpec.from_text(PARABOLA.replace("samples = 4", f"samples = {MAX_SAMPLES}"))

@@ -787,34 +787,20 @@ class TestInversionWork:
         plan = _tables.basis_plan(5, 5, 6)
         assert new_calls == sum(_tables.count(5, k) - 6 for k in range(2, 7)) == 887
         assert new_madds == sum(len(step[3]) for _, _, steps in plan for step in steps) == 975255
+        # a pushforward's composites reuse the inversion's basis, where
+        # compose_many after the inversion builds it again
+        outers = [MultiJet(5, 6, np.linspace(-1, 1, 462) * k, maps[0].basepoint)
+                  for k in range(1, 5)]
+        calls.clear()
+        got = invert_series(maps, outers=outers)
+        assert len(got) == 9 and (len(calls), sum(calls)) == (887, 975255)
+        calls.clear()
+        compose_many(outers, got[:5])
+        assert (len(calls), sum(calls)) == (887, 975255)
         calls.clear()
         fixed_point_inverse(maps)
         assert len(calls) == 5 * 5 * (_tables.count(5, 6) - 6) == 11400
         assert sum(calls) > 2 * new_madds
-
-    def test_a_pushforward_is_one_build(self, monkeypatch):
-        """The composites of a pushforward reuse the inversion's basis: the
-        inversion plus 4 composites of order 6 is still 975,255 products,
-        where ``compose_many`` after the inversion builds them again."""
-        calls = []
-        real = jets.mul_table
-
-        def counting(a, b, pi, pj, pr, n_out):
-            calls.append(len(pi))
-            return real(a, b, pi, pj, pr, n_out)
-
-        monkeypatch.setattr(jets, "mul_table", counting)
-        rng = np.random.default_rng(6)
-        maps = random_map(rng, 5, 6)
-        outers = [MultiJet(5, 6, rng.uniform(-1, 1, 462), maps[0].basepoint) for _ in range(4)]
-        got = invert_series(maps, outers=outers)
-        assert len(got) == 9
-        assert (len(calls), sum(calls)) == (887, 975255)
-        # compose_many builds the same basis with the same filler, degree by
-        # degree (row by row at order 6 took 456 calls for the same pairs)
-        calls.clear()
-        compose_many(outers, got[:5])
-        assert (len(calls), sum(calls)) == (887, 975255)
 
 
 def suffix_row_basis(h, order):
