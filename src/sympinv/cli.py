@@ -139,14 +139,14 @@ def cmd_check(args):
     """Print one PASS/FAIL row per case of the suite; exit 1 on any FAIL."""
     if args.seed < 0:
         raise JobError("must be >= 0", field="--seed")
-    for field, value in (("--trials", args.trials), ("--jets", args.jets)):
-        if value < 1:
+    for field, value in (("--trials", args.trials), ("--jets", args.jets), ("--n", args.n)):
+        if value is not None and value < 1:
             raise JobError("must be >= 1", field=field)
     if args.suite == "invariance":
         targets = [t for t in sig_mod.invariance_targets()
                    if (not args.geometry or t[0] == args.geometry)
                    and (not args.flavor or t[1] == args.flavor)
-                   and (not args.n or t[2] == args.n)]
+                   and (args.n is None or t[2] == args.n)]
         if not targets:
             print("error: no invariance targets match the filters", file=sys.stderr)
             return 1

@@ -182,18 +182,6 @@ class JetPoint:
                 out[chart.space.index(name)] = self.jets[name]
         return out
 
-    def env(self):
-        """name -> jet map covering space coordinates and dependents."""
-        chart = self.chart
-        out = {}
-        coords = self.space_coordinate_jets()
-        for i, name in enumerate(chart.space.names):
-            if coords[i] is not None:
-                out[name] = coords[i]
-        for name in chart.dependent:
-            out[name] = self.jets[name]
-        return out
-
     def truncate(self, new_order):
         if new_order >= self.order:
             return self

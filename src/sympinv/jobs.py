@@ -137,6 +137,11 @@ class JobSpec:
                            field="samples")
         if depth < 0:
             raise JobError("depth must be >= 0", field="depth")
+        reach = order - RECIPES[geometry, flavor].order(n)  # a derivation costs one order
+        if depth > reach:
+            raise JobError(f"depth {depth} needs jet order {order - reach + depth}, above "
+                           f"{geometry}/{flavor}'s order {order} (depth <= {reach})",
+                           field="depth")
         if seed < 0:
             raise JobError("seed must be >= 0", field="seed")
         fmt = keys["format"]

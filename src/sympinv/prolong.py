@@ -17,7 +17,7 @@ from . import _tables
 from .errors import NonGenericSample
 from .geometry import CHARTS, JetPoint
 from .jets import _const_float
-from .symplectic import algebra_basis, contact_algebra_basis
+from .symplectic import algebra_basis
 
 
 def generating_functions(field, point):
@@ -49,25 +49,12 @@ def prolonged_row(field, point, k):
         phi_jet = phi[name]
         ujet = point.jets[name]
         for sigma in _tables.monomials(p, k):
-            comp = _partial_value(phi_jet, sigma)
+            comp = float(phi_jet.partial_at(sigma))
             for i in range(p):
                 up = tuple(e + (1 if j == i else 0) for j, e in enumerate(sigma))
                 comp += _const_float(a_jets[i]) * point.jet_coordinate(name, up)
             row.append(comp)
     return row
-
-
-def _partial_value(jet, sigma):
-    if hasattr(jet, "partial_at"):
-        return float(jet.partial_at(sigma))
-    return float(jet) if sum(sigma) == 0 else 0.0
-
-
-def fields_for(chart, flavor):
-    space = chart.space
-    if hasattr(space, "pairs"):
-        return algebra_basis(space, flavor)
-    return contact_algebra_basis(space, flavor)
 
 
 def matrix_rank(rows, rel_tol=1e-9):
@@ -87,7 +74,7 @@ def orbit_dimension(geometry, flavor, n, k, seed=0, attempts=5, rel_tol=1e-9):
     raises NonGenericSample if the rank never stabilizes.
     """
     chart = CHARTS[geometry](n)
-    fields = fields_for(chart, flavor)
+    fields = algebra_basis(chart.space, flavor)
     rng = np.random.default_rng(seed)
     ranks = []
     for _ in range(attempts):

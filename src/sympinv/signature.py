@@ -29,7 +29,7 @@ from .exprs import evaluate
 from .geometry import (CHARTS, JetPoint, apply_word, default_order, parametric_curve_point,
                        pushforward, relation_residual, relation_values)
 from .jets import MultiJet, _const_float, _Split
-from .symplectic import random_contact_lift, random_group_element
+from .symplectic import random_group_element
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class Recipe:
     n: object  # the one n it is implemented for, or None for every n >= 1
     labels: object  # n -> generator labels, in the order of the Psi components
     derivations: object  # n -> number of invariant derivations
+    order: object  # n -> the lowest jet order that fixes the generator values
     # (point, n) -> (generator jets by label, derivation list); it looks its
     # frame functions up when called, and its dict may hold more generators
     evaluate: object
@@ -115,44 +116,46 @@ def _contact_curve_csp(p, n):
 # One recipe per (geometry, flavor), in the order of the invariance battery.
 # Adding a flavor means one entry here plus its frame functions.
 RECIPES = {
-    ("function", "sp"): Recipe(None, _function_sp_labels, _fixed(2), _function_sp, (1, 2),
-                               (4, lambda p: fn_mod.relations_n1(p))),
+    ("function", "sp"): Recipe(None, _function_sp_labels, _fixed(2), _fixed(2), _function_sp,
+                               (1, 2), (4, lambda p: fn_mod.relations_n1(p))),
     ("function", "csp"): Recipe(
-        1, _fixed(("I0", "I2bp")), _fixed(2),
+        1, _fixed(("I0", "I2bp")), _fixed(2), _fixed(2),
         lambda p, n: _picked(ext_mod.csp_function_invariants(p), "d1", "d2p"), (1,),
         (5, lambda p: ext_mod.csp_function_relations(p))),
     ("function", "asp"): Recipe(
-        1, _fixed(("I0", "I2p")), _fixed(2),
+        1, _fixed(("I0", "I2p")), _fixed(2), _fixed(2),
         lambda p, n: _picked(ext_mod.asp_function_invariants(p), "d1p", "d2"), (1,),
         (5, lambda p: ext_mod.asp_function_relations(p))),
     ("function", "acsp"): Recipe(
-        1, _fixed(("I0", "I3app", "I3bpp")), _fixed(2),
+        1, _fixed(("I0", "I3app", "I3bpp")), _fixed(2), _fixed(3),
         lambda p, n: _picked(ext_mod.acsp_function_invariants(p), "d1pp", "d2pp"), (1,)),
     ("curve", "sp"): Recipe(
-        None, lambda n: tuple(f"I{m}" for m in range(2, 2 * n + 1)), _fixed(1), _curve_sp,
-        (1, 2, 3)),
+        None, lambda n: tuple(f"I{m}" for m in range(2, 2 * n + 1)), _fixed(1), lambda n: 2 * n,
+        _curve_sp, (1, 2, 3)),
     ("curve", "csp"): Recipe(
-        1, _fixed(("I3p",)), _fixed(1),
+        1, _fixed(("I3p",)), _fixed(1), _fixed(3),
         lambda p, n: _picked(ext_mod.csp_curve_invariants(p), "dp"), (1,)),
     ("curve", "asp"): Recipe(
-        1, _fixed(("I4pp",)), _fixed(1),
+        1, _fixed(("I4pp",)), _fixed(1), _fixed(4),
         lambda p, n: _picked(ext_mod.asp_curve_invariants(p), "dpp"), (1,)),
     ("curve", "acsp"): Recipe(
-        1, _fixed(("I5",)), _fixed(1),
+        1, _fixed(("I5",)), _fixed(1), _fixed(5),
         lambda p, n: _picked(ext_mod.acsp_curve_invariants(p), "dppp"), (1,)),
     ("hypersurface", "sp"): Recipe(
         None, lambda n: tuple(f"I2_{i}" for i in range(1, 2 * n)), lambda n: 2 * n - 1,
-        _hypersurface, (2, 3)),
-    ("surface", "sp"): Recipe(2, _fixed(("I2a", "I2b", "I2c", "I2d")), _fixed(2), _surface, (2,)),
-    ("contact-curve", "contact"): Recipe(1, _fixed(("I0", "I2a")), _fixed(1), _contact_curve, (1,)),
+        _fixed(2), _hypersurface, (2, 3)),
+    ("surface", "sp"): Recipe(
+        2, _fixed(("I2a", "I2b", "I2c", "I2d")), _fixed(2), _fixed(2), _surface, (2,)),
+    ("contact-curve", "contact"): Recipe(
+        1, _fixed(("I0", "I2a")), _fixed(1), _fixed(2), _contact_curve, (1,)),
     ("contact-curve", "contact-csp"): Recipe(
-        1, _fixed(("I1", "I2ap")), _fixed(1), _contact_curve_csp, (1,)),
+        1, _fixed(("I1", "I2ap")), _fixed(1), _fixed(2), _contact_curve_csp, (1,)),
     ("contact-surface", "contact-csp"): Recipe(
-        1, _fixed(("I1p", "I2cp")), _fixed(2),
+        1, _fixed(("I1p", "I2cp")), _fixed(2), _fixed(2),
         lambda p, n: _picked(contact_mod.surface_invariants(p), "d1", "d2"), (1,),
         (4, lambda p: contact_mod.surface_relations(p))),
     ("contact-function", "contact-csp"): Recipe(
-        1, _fixed(("I0", "I2f")), _fixed(3),
+        1, _fixed(("I0", "I2f")), _fixed(3), _fixed(2),
         lambda p, n: _picked((contact_mod.function_invariants(p),
                               contact_mod.function_derivations(p)), "d1", "d2", "d3"), (1,),
         (4, lambda p: contact_mod.function_relations(p))),
@@ -200,16 +203,15 @@ def invariance_sweep(geometry, flavor, n, jets, rng, element_seeds, order, sprea
     Draws jets from `rng` at `order` and `spread` until `jets` of them are
     generic (the generators evaluate on them); raises NonGenericSample once
     200 * jets draws are spent short of that.  Each generic jet in turn meets
-    the element of each seed in order (the contact lift on contact geometries;
-    the elements are built once).  Yields one record per pair: (moved point,
-    generator values on it, {label: |a - b| / max(|a|, |b|, 1)}), or None when
+    the element of each seed in order (the elements are built once).  Yields
+    one record per pair: (moved point, generator values on it,
+    {label: |a - b| / max(|a|, |b|, 1)}), or None when
     the pushforward or the generators on the image degenerate.  The sweep is
     lazy, so a caller may draw from `rng` between pairs.
     """
     chart = CHARTS[geometry](n)
     ev = generator_map(geometry, flavor, n)
-    lift = random_contact_lift if geometry.startswith("contact") else random_group_element
-    elements = [lift(chart.space, flavor, seed) for seed in element_seeds]
+    elements = [random_group_element(chart.space, flavor, seed) for seed in element_seeds]
     generic = 0
     for _ in range(200 * jets):
         point = JetPoint.random(chart, order, rng, spread=spread)

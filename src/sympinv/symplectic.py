@@ -326,35 +326,55 @@ def quadratic_monomials(space):
             + [ys[i] * ys[j] for i in range(n) for j in range(i, n)])
 
 
+# flavor -> (conformal, affine) of the group family acting on each space type:
+# the flavors the algebra and group functions below accept.
+_FLAVORS = {
+    SymplecticSpace: {"sp": (False, False), "csp": (True, False), "asp": (False, True),
+                      "acsp": (True, True)},
+    ContactSpace: {"contact": (False, False), "contact-csp": (True, False)},
+}
+
+
+def _flavor(space, flavor, family):
+    """(conformal, affine) of `flavor` on `space`, a space of type `family`."""
+    try:
+        return (_FLAVORS[family] if isinstance(space, family) else {})[flavor]
+    except KeyError:
+        raise ValueError(f"unknown flavor {flavor!r} on a {type(space).__name__}") from None
+
+
 def algebra_basis(space, flavor):
-    """Basis fields for sp / csp / asp / acsp on a (possibly reordered) space.
+    """Basis fields for sp / csp / asp / acsp on a (possibly reordered) space,
+    or of the lifted algebra (`contact_algebra_basis`) on a contact space.
 
     `space` can have arbitrary Darboux pair ordering; the sp part is built by
     pairing coordinates through the declared pairs.
     """
+    if isinstance(space, ContactSpace):
+        return contact_algebra_basis(space, flavor)
+    conformal, affine = _flavor(space, flavor, SymplecticSpace)
     nv = space.dim
     fields = [hamiltonian_field(h, space) for h in quadratic_monomials(space)]
-    if flavor in ("csp", "acsp"):
+    if conformal:
         fields.append(VectorField(tuple(Poly.coordinate(nv, i) for i in range(nv))))
-    if flavor in ("asp", "acsp"):
+    if affine:
         for i in range(nv):
             coeffs = [Poly.zero(nv)] * nv
             coeffs[i] = Poly.const(nv, 1)
             fields.append(VectorField(tuple(coeffs)))
-    if flavor not in ("sp", "csp", "asp", "acsp"):
-        raise ValueError(f"unknown flavor {flavor!r}")
     return fields
 
 
 def contact_algebra_basis(cspace, flavor):
     """Lifted sp(2n) (plus homothety for the conformal lift) on contact space."""
+    conformal, _ = _flavor(cspace, flavor, ContactSpace)
     nv = cspace.dim
     sympl = SymplecticSpace.standard(cspace.n)
     fields = []
     for h2 in quadratic_monomials(sympl):
         h = Poly(nv, {e + (0,): c for e, c in h2.terms.items()})
         fields.append(hamiltonian_field(h, cspace, contact=True))
-    if flavor in ("contact-csp", "csp"):
+    if conformal:
         n = cspace.n
         homothety = Poly(nv, {tuple(0 if k != 2 * n else 1 for k in range(nv)): 2})
         for i in range(n):
@@ -363,8 +383,6 @@ def contact_algebra_basis(cspace, flavor):
             e[n + i] = 1
             homothety = homothety - Poly(nv, {tuple(e): 1})
         fields.append(hamiltonian_field(homothety, cspace, contact=True))
-    elif flavor not in ("contact", "sp"):
-        raise ValueError(f"unknown contact flavor {flavor!r}")
     return fields
 
 
@@ -455,36 +473,36 @@ def expm(a):
     return r
 
 
-def random_algebra_matrix(space, rng):
-    """Random element of sp(2n) as a matrix: J^{-1} S with S symmetric."""
+def random_algebra_matrix(space, rng, conformal):
+    """Random element of sp(2n) as a matrix, J^{-1} S with S symmetric, plus
+    c times the identity when conformal; and the scale e^c (else 1)."""
     d = space.dim
     s = rng.uniform(-1.0, 1.0, size=(d, d))
     s = (s + s.T) / 2
-    j = space.omega_matrix()
-    return np.linalg.solve(j, s)
+    m = np.linalg.solve(space.omega_matrix(), s)
+    if not conformal:
+        return m, 1.0
+    c = rng.uniform(-1.0, 1.0)
+    return m + c * np.eye(d), float(np.exp(c))
 
 
 def random_group_element(space, flavor, seed):
-    """Exponential of a random algebra element (scaling-and-squaring expm)."""
+    """Exponential of a random algebra element (scaling-and-squaring expm), or
+    the lift of one (`random_contact_lift`) on a contact space."""
+    if isinstance(space, ContactSpace):
+        return random_contact_lift(space, flavor, seed)
+    conformal, affine = _flavor(space, flavor, SymplecticSpace)
     rng = np.random.default_rng(seed)
-    d = space.dim
-    m = random_algebra_matrix(space, rng)
-    scale = 1.0
-    if flavor in ("csp", "acsp"):
-        c = rng.uniform(-1.0, 1.0)
-        m = m + c * np.eye(d)
-        scale = float(np.exp(c))
-    translation = None
-    if flavor in ("asp", "acsp"):
+    m, scale = random_algebra_matrix(space, rng, conformal)
+    if affine:
+        d = space.dim
         b = rng.uniform(-1.0, 1.0, size=d)
         aff = np.zeros((d + 1, d + 1))
         aff[:d, :d] = m
         aff[:d, d] = b
         big = expm(aff)
         return GroupElement(space, big[:d, :d], scale, big[:d, d], flavor)
-    if flavor not in ("sp", "csp"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return GroupElement(space, expm(m), scale, translation, flavor)
+    return GroupElement(space, expm(m), scale, None, flavor)
 
 
 def identity_element(space, flavor="sp"):
@@ -492,16 +510,9 @@ def identity_element(space, flavor="sp"):
 
 
 def random_contact_lift(cspace, flavor, seed):
+    conformal, _ = _flavor(cspace, flavor, ContactSpace)
     rng = np.random.default_rng(seed)
-    sympl = SymplecticSpace.standard(cspace.n)
-    m = random_algebra_matrix(sympl, rng)
-    scale = 1.0
-    if flavor == "contact-csp":
-        c = rng.uniform(-1.0, 1.0)
-        m = m + c * np.eye(2 * cspace.n)
-        scale = float(np.exp(c))
-    elif flavor != "contact":
-        raise ValueError(f"unknown contact flavor {flavor!r}")
+    m, scale = random_algebra_matrix(SymplecticSpace.standard(cspace.n), rng, conformal)
     return ContactLift(cspace, expm(m), scale)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from sympinv.geometry import pushforward, relation_residual
-from sympinv.symplectic import random_contact_lift, random_group_element
+from sympinv.symplectic import random_group_element
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -52,17 +52,13 @@ def relerr(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
-def max_invariance_error(point, evaluator, flavor, n_elements, seed0=0, contact=False):
+def max_invariance_error(point, evaluator, flavor, n_elements, seed0=0):
     """Largest relative change of evaluator(point) under random pushforwards;
     NaN when any change is NaN."""
     base = evaluator(point)
     worst = 0.0
-    space = point.chart.space
     for s in range(n_elements):
-        if contact:
-            g = random_contact_lift(space, flavor, seed0 + s)
-        else:
-            g = random_group_element(space, flavor, seed0 + s)
+        g = random_group_element(point.chart.space, flavor, seed0 + s)
         moved = pushforward(point, g)
         vals = evaluator(moved)
         # np.max keeps a NaN, which max(0.0, nan) would drop

@@ -80,15 +80,6 @@ def test_criterion_1_orbit_dimension_tables():
 # 2. invariance battery
 # -----------------------------------------------------------------------------
 
-def _battery_order(geometry, flavor, n):
-    """Smallest jet order that determines the exported generator values."""
-    if geometry == "curve":
-        return {"sp": 2 * n, "csp": 3, "asp": 4, "acsp": 5}[flavor]
-    if geometry == "function":
-        return 3 if flavor == "acsp" else 2
-    return 2
-
-
 def _jittered(point, rng, rel=1e-7):
     """Same point with every jet coefficient multiplied by (1 + rel*noise)."""
     jets = {}
@@ -108,8 +99,8 @@ def test_criterion_2_invariance_battery():
     for target in invariance_targets():
         ev = generator_map(*target)
         rng = np.random.default_rng(zlib.crc32("{}/{}/{}".format(*target).encode()))
-        for pair in invariance_sweep(*target, 20, rng, range(5000, 5050),
-                                     _battery_order(*target), (0.6, 1.4)):
+        order = RECIPES[target[:2]].order(target[2])
+        for pair in invariance_sweep(*target, 20, rng, range(5000, 5050), order, (0.6, 1.4)):
             if pair is None:
                 skipped += 1
                 continue

@@ -134,7 +134,7 @@ def job_text(geometry, bounds, samples, depth, seed, fmt):
 
 @settings(max_examples=60, deadline=None)
 @given(geometry=st.sampled_from(sorted(_JOBS)), bounds=_WINDOWS,
-       samples=st.integers(1, 10**6), depth=st.integers(0, 5),
+       samples=st.integers(1, 10**6), depth=st.integers(0, 4),  # each job reaches depth 4
        seed=st.integers(0, 2**63), fmt=st.sampled_from(["csv", "json"]))
 def test_job_text_round_trip(geometry, bounds, samples, depth, seed, fmt):
     job = JobSpec.from_text(job_text(geometry, bounds, samples, depth, seed, fmt))
@@ -328,6 +328,20 @@ class TestInvariantsCommand:
         assert main(["invariants", "--job", write(tmp_path, "big.job", text)]) == 3
         assert capsys.readouterr().err == "error: all samples degenerate\n"
 
+    def test_unreachable_depth_exits_2_without_sampling(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(sig_mod, "component_labels", refuse)
+        monkeypatch.setattr(sig_mod, "sample_psi", refuse)
+        text = PARABOLA.replace("flavor = sp", "flavor = acsp").replace("depth = 1", "depth = 2")
+        assert main(["invariants", "--job", write(tmp_path, "acsp.job", text)]) == 2
+        assert capsys.readouterr().err == ("error: depth: depth 2 needs jet order 7, above "
+                                           "curve/acsp's order 6 (depth <= 1)\n")
+        path = write(tmp_path, "parabola.job", PARABOLA)
+        assert main(["invariants", "--job", path, "--depth", "14"]) == 2
+        assert "depth 14 needs jet order 16" in capsys.readouterr().err
+
     def test_all_degenerate_exits_3(self, tmp_path, capsys):
         path = write(tmp_path, "line.job", PARABOLA.replace("y = x^2", "y = x"))
         code = main(["invariants", "--job", path])
@@ -507,6 +521,12 @@ class TestCheckCommand:
             captured = capsys.readouterr()
             assert captured.err == f"error: {option}: must be >= 1\n"
             assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_n_below_one_exits_2(self, capsys, value):
+        argv = ["check", "invariance", "--geometry", "curve", "--flavor", "acsp", "--n", value]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --n: must be >= 1\n")
 
     def test_invariance_fails_a_target_without_generic_jets(self, capsys, monkeypatch):
         from sympinv import signature

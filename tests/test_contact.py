@@ -23,7 +23,6 @@ from sympinv.symplectic import (
     ContactLift,
     contact_algebra_basis,
     infinitesimal_point_map,
-    random_contact_lift,
 )
 
 
@@ -72,8 +71,7 @@ class TestContactCurves:
             _, scaled, _ = contact.curve_invariants(q)
             return {k: val(v) for k, v in scaled.items()}
 
-        assert max_invariance_error(p, evaluate, "contact-csp", 10, seed0=20,
-                                    contact=True) <= 1e-8
+        assert max_invariance_error(p, evaluate, "contact-csp", 10, seed0=20) <= 1e-8
 
     def test_plain_invariants_under_unscaled_lift(self):
         rng = np.random.default_rng(7)
@@ -83,8 +81,7 @@ class TestContactCurves:
             plain, _, _ = contact.curve_invariants(q)
             return {k: val(v) for k, v in plain.items()}
 
-        assert max_invariance_error(p, evaluate, "contact", 10, seed0=30,
-                                    contact=True) <= 1e-8
+        assert max_invariance_error(p, evaluate, "contact", 10, seed0=30) <= 1e-8
 
     def test_weights_under_scaling(self):
         # I0, I1raw, I2a, I2braw have weights 2, 0, -4, -2
@@ -163,8 +160,7 @@ class TestContactSurfaces:
             scaled, _ = contact.surface_invariants(q)
             return {k: val(v) for k, v in scaled.items()}
 
-        assert max_invariance_error(p, evaluate, "contact-csp", 10, seed0=50,
-                                    contact=True) <= 1e-8
+        assert max_invariance_error(p, evaluate, "contact-csp", 10, seed0=50) <= 1e-8
 
     def test_plane_reduction_consistency(self):
         # I1 = (x u_x + y u_y)/2 for u = 2z - xy along the surface graph
@@ -244,8 +240,7 @@ class TestContactFunctions:
             inv = contact.function_invariants(q)
             return {k: val(v) for k, v in inv.items()}
 
-        assert max_invariance_error(p, evaluate, "contact-csp", 10, seed0=70,
-                                    contact=True) <= 1e-8
+        assert max_invariance_error(p, evaluate, "contact-csp", 10, seed0=70) <= 1e-8
 
     def test_i2f_exact_infinitesimal_invariance(self):
         # dual-number flow along every lifted algebra generator: the epsilon

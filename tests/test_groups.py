@@ -193,6 +193,28 @@ class TestGroupSampling:
         n = np.array([[0.0, 40.0], [0.0, 0.0]])
         assert np.allclose(symplectic.expm(n), [[1.0, 40.0], [0.0, 1.0]], rtol=1e-13)
 
+    @pytest.mark.parametrize("flavor", ["contact", "contact-csp"])
+    def test_a_contact_space_picks_the_contact_family(self, flavor):
+        cs = ContactSpace.standard(1)
+        assert algebra_basis(cs, flavor) == contact_algebra_basis(cs, flavor)
+        for seed in range(3):
+            g, lift = random_group_element(cs, flavor, seed), random_contact_lift(cs, flavor, seed)
+            assert type(g) is type(lift)
+            assert g.matrix.tobytes() == lift.matrix.tobytes() and g.scale == lift.scale
+
+    @pytest.mark.parametrize("function", [algebra_basis, contact_algebra_basis,
+                                          random_group_element, random_contact_lift],
+                             ids=lambda f: f.__name__)
+    def test_a_flavor_of_the_other_family_is_refused(self, function):
+        sp, cs = SymplecticSpace.standard(1), ContactSpace.standard(1)
+        seed = (0,) if function in (random_group_element, random_contact_lift) else ()
+        cases = [(cs, "sp"), (sp, "contact"), (sp, "bogus"), (cs, "bogus")]
+        if function in (contact_algebra_basis, random_contact_lift):
+            cases.append((sp, "sp"))  # they act on a contact space only
+        for space, flavor in cases:
+            with pytest.raises(ValueError, match=f"unknown flavor '{flavor}'"):
+                function(space, flavor, *seed)
+
     def test_contact_lift_formula(self):
         # lift of A=[[a,b],[c,d]] must send (x,y,z) to
         # (ax+by, cx+dy, det(z - xy/2) + (ax+by)(cx+dy)/2)

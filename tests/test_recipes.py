@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from helpers import bench_module
-from test_acceptance import _battery_order
 
 from sympinv import _tables
 from sympinv.cli import main
@@ -70,8 +69,8 @@ def test_invariance_targets_are_the_acceptance_battery():
     targets and of their orders, which must not drift from it."""
     workloads = bench_module("workloads")
     assert tuple(invariance_targets()) == workloads.TARGETS
-    assert ([_battery_order(*target) for target in workloads.TARGETS]
-            == [workloads.battery_order(*target) for target in workloads.TARGETS])
+    assert ([RECIPES[g, f].order(n) for g, f, n in workloads.TARGETS]
+            == [workloads.battery_order(g, f, n) for g, f, n in workloads.TARGETS])
 
 
 def run(argv):
@@ -157,6 +156,17 @@ def test_jobs_accept_what_they_accepted_before(geometry):
     assert accepts(geometry, flavor, largest)
     assert not accepts(geometry, flavor, largest + 1)
     assert not accepted_before(geometry, flavor, largest + 1)
+
+
+@pytest.mark.parametrize("geometry,flavor,n", invariance_targets())
+def test_jobs_accept_exactly_the_depths_their_order_reaches(geometry, flavor, n):
+    order = default_order(geometry, n)
+    reach = order - RECIPES[geometry, flavor].order(n)
+    body = "\n".join(f"  {name} = 1" for name in CHARTS[geometry](n).dependent)
+    text = f"geometry = {geometry}\nflavor = {flavor}\nn = {n}\ndepth = {{}}\nexprs:\n{body}\n"
+    assert JobSpec.from_text(text.format(reach)).depth == reach
+    with pytest.raises(JobError, match=f"depth {reach + 1} needs jet order {order + 1},"):
+        JobSpec.from_text(text.format(reach + 1))
 
 
 # --- non-finite samples ---------------------------------------------------------------

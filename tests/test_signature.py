@@ -290,6 +290,23 @@ def job_sampling(geometry, flavor, n, exprs, samples, depth, window=(0.5, 1.5), 
     return _sampling(JobSpec.from_text("\n".join(lines) + "\n"))
 
 
+def unchecked_sampling(geometry, flavor, n, exprs, samples, depth, window=(0.5, 1.5), seed=5):
+    """The sample_psi arguments of a graph-form job, built without JobSpec,
+    which rejects a depth that no sample can reach."""
+    return dict(defs={name: parse(text) for name, text in exprs.items()}, geometry=geometry,
+                flavor=flavor, n=n, samples=samples, depth=depth, window=window, seed=seed,
+                parametric=False)
+
+
+def exhausted(job, depth):
+    """Whether every sample of the job runs out of jet order at this depth."""
+    from sympinv.geometry import default_order
+    from sympinv.signature import RECIPES
+
+    geometry, flavor, n = job[:3]
+    return depth > default_order(geometry, n) - RECIPES[geometry, flavor].order(n)
+
+
 def row_bytes(rows):
     return [(at, None if vals is None else [v.hex() for v in vals], flag)
             for at, vals, flag in rows]
@@ -312,9 +329,10 @@ class TestBatchedSampling:
     @pytest.mark.parametrize("job", RECIPE_JOBS, ids=lambda j: "{}/{}/{}".format(*j[:3]))
     def test_every_recipe_gives_the_rows_of_one_sample_at_a_time(self, monkeypatch, job):
         for depth in (1, 2):
-            batched, single = batched_and_single(monkeypatch, job_sampling(*job, 16, depth))
+            build = unchecked_sampling if exhausted(job, depth) else job_sampling
+            batched, single = batched_and_single(monkeypatch, build(*job, 16, depth))
             assert row_bytes(batched) == row_bytes(single)
-            if job[:2] == ("curve", "acsp") and depth == 2:  # I5 leaves no order for d1(d1(I5))
+            if exhausted(job, depth):  # curve/acsp: I5 leaves no order for d1(d1(I5))
                 assert {flag for _, _, flag in batched} == {"OrderExhausted"}
             else:
                 assert all(vals is not None for _, vals, _ in batched)
@@ -335,14 +353,29 @@ class TestBatchedSampling:
         for seed in range(1, 9):
             for depth in (1, 2):
                 passes.clear()
-                signature.sample_psi(**job_sampling(*job, 16, depth, seed=seed))
-                if job[:2] == ("curve", "acsp") and depth == 2:
+                build = unchecked_sampling if exhausted(job, depth) else job_sampling
+                signature.sample_psi(**build(*job, 16, depth, seed=seed))
+                if exhausted(job, depth):
                     # every sample raises OrderExhausted; a batch answers it with
                     # the one-sample loop, since a pivot taken per column may
                     # have cut a jet to a lower order
                     assert passes == [True] + [False] * 16
                 else:
                     assert passes == [True]
+
+    @pytest.mark.parametrize("job", RECIPE_JOBS, ids=lambda j: "{}/{}/{}".format(*j[:3]))
+    def test_every_recipe_order_is_exact(self, job):
+        """At the CLI order K and the recipe's generator order k, depth K - k
+        gives every sample values and depth K - k + 1 none."""
+        from sympinv.geometry import default_order
+        from sympinv.signature import RECIPES, sample_psi
+
+        geometry, flavor, n = job[:3]
+        reach = default_order(geometry, n) - RECIPES[geometry, flavor].order(n)
+        rows = sample_psi(**unchecked_sampling(*job, 4, reach))
+        assert all(vals is not None for _, vals, _ in rows)
+        rows = sample_psi(**unchecked_sampling(*job, 4, reach + 1))
+        assert [flag for _, _, flag in rows] == ["OrderExhausted"] * 4
 
     @pytest.mark.parametrize("exprs", [{"y": "x^2"},
                                        {"x": "0.9*t - 0.35*t^2", "y": "0.4*t + 0.95*t^2"}],
