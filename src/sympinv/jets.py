@@ -25,7 +25,12 @@ pairs with ``np.add.at`` onto the int 0, which keeps the ring of its terms; a
 scalar operand of a float jet goes through ``float()``; an exact derivative
 scales by int, not float, multipliers; the near-zero-divisor and finiteness
 tests are float tests, and an exact divisor is zero when the real part of its
-constant term is (a ``Dual(0, e)`` too).
+constant term is (a ``Dual(0, e)`` too).  An exact q-th root (``sqrt``,
+``cbrt`` and rational powers, of a scalar or of a jet's constant term) needs a
+real part r that is a perfect q-th power s^q; the root of a dual r + e*E is
+s + e / (q s^(q-1)) * E, the first-order term of r^(1/q), so a dual stays
+exact wherever a ``Fraction`` does.  ``exp``, ``log``, ``sin`` and ``cos`` of
+an exact scalar or jet raise ``DomainError``.
 Every downstream invariant evaluator is written against ordinary ``+ - * /``
 scalars, so the same formula runs on numbers and on jets of either mode.
 
@@ -559,7 +564,7 @@ def _const_float(x):
     c = x.coeffs[0] if isinstance(x, MultiJet) else x
     if isinstance(c, np.ndarray):
         return c
-    return float(getattr(c, "re", c))
+    return float(c)
 
 
 def _max(values):
@@ -703,7 +708,18 @@ def _jet_pow(x, expo):
 
 
 def _nth_root_scalar(c0, q, exact):
-    """Real q-th root of the constant term; exact mode demands a perfect power."""
+    """Real q-th root of the constant term; exact mode demands a perfect power.
+
+    The root of a dual r + e*E is s + e / (q s^(q-1)) * E for the exact root
+    s of r; a zero real part with a nonzero eps-part has none.
+    """
+    if isinstance(c0, Dual):
+        s = _nth_root_scalar(c0.re, q, True)
+        if s == 0:
+            if c0.eps != 0:
+                raise DomainError(f"{q}-th root of {c0!r}: zero real part")
+            return Dual(0)
+        return Dual(s, c0.eps / (q * s ** (q - 1)))
     if exact:
         fr = Fraction(c0)
         if fr < 0 and q % 2 == 0:
@@ -775,9 +791,9 @@ def _is_jet(x):
     return isinstance(x, MultiJet)
 
 
-def _analytic(x, float_fn, series_fn, exact_ok=False, name=""):
+def _analytic(x, float_fn, series_fn, name):
     if _is_jet(x):
-        if x.exact and not exact_ok:
+        if x.exact:
             raise DomainError(f"{name} is not available in exact mode")
         c0 = x.coeffs[0]
         if not x.exact and _nonfinite(c0):
@@ -788,7 +804,7 @@ def _analytic(x, float_fn, series_fn, exact_ok=False, name=""):
             columns = _per_column(lambda c: series_fn(c, x.order, False), c0)
             coeffs = [np.array(k) for k in zip(*columns)]
         return _horner(x - c0, coeffs)
-    if isinstance(x, Fraction) and not exact_ok:
+    if isinstance(x, (Fraction, Dual)):
         raise DomainError(f"{name} is not available in exact mode")
     x = float(x)
     if not math.isfinite(x):
@@ -841,7 +857,7 @@ def sqrt(x):
         if not x.exact and _decide(x.coeffs[0] < 0):
             raise DomainError("sqrt of a negative constant term")
         return _binomial_series(x, Fraction(1, 2))
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, Dual)):
         return _nth_root_scalar(x, 2, True)
     if float(x) < 0:
         raise DomainError("sqrt of a negative argument")
@@ -851,7 +867,7 @@ def sqrt(x):
 def cbrt(x):
     if _is_jet(x):
         return _binomial_series(x, Fraction(1, 3))
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, Dual)):
         return _nth_root_scalar(x, 3, True)
     return _nth_root_scalar(float(x), 3, False)
 
@@ -1102,7 +1118,7 @@ def _invert_matrix(rows, exact):
         inv = _scalar_reciprocal(aug[col][col], True)
         aug[col] = [v * inv for v in aug[col]]
         for r in range(p):
-            if r != col and not _fully_zero(aug[r][col]):
+            if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return np.array([row[p:] for row in aug], dtype=object)
@@ -1112,10 +1128,6 @@ def _exact_is_zero(x):
     """Not invertible in the exact scalar ring (zero real part)."""
     re = getattr(x, "re", x)
     return re == 0
-
-
-def _fully_zero(x):
-    return x == 0 or (getattr(x, "re", 1) == 0 and getattr(x, "eps", 1) == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -280,14 +280,15 @@ class VectorField:
         return all(not p.terms for p in self.coeffs)
 
 
-def hamiltonian_field(h, space, contact=False):
-    """Vector field of a (weighted-)quadratic Hamiltonian polynomial.
+def hamiltonian_field(h, space):
+    """Vector field of a (weighted-)quadratic Hamiltonian polynomial; the type
+    of `space` picks the formula.
 
     Symplectic: X_H = sum H_{y_i} d_{x_i} - H_{x_i} d_{y_i}.
     Contact:    X_H = (H - sum y_i H_{y_i}) d_z
                       + sum (H_{x_i} + y_i H_z) d_{y_i} - H_{y_i} d_{x_i}.
     """
-    if not contact:
+    if not isinstance(space, ContactSpace):
         if h.degree() > 2:
             raise DegreeError(f"Hamiltonian degree {h.degree()} > 2")
         nv = h.nvars
@@ -373,7 +374,7 @@ def contact_algebra_basis(cspace, flavor):
     fields = []
     for h2 in quadratic_monomials(sympl):
         h = Poly(nv, {e + (0,): c for e, c in h2.terms.items()})
-        fields.append(hamiltonian_field(h, cspace, contact=True))
+        fields.append(hamiltonian_field(h, cspace))
     if conformal:
         n = cspace.n
         homothety = Poly(nv, {tuple(0 if k != 2 * n else 1 for k in range(nv)): 2})
@@ -382,7 +383,7 @@ def contact_algebra_basis(cspace, flavor):
             e[i] = 1
             e[n + i] = 1
             homothety = homothety - Poly(nv, {tuple(e): 1})
-        fields.append(hamiltonian_field(homothety, cspace, contact=True))
+        fields.append(hamiltonian_field(homothety, cspace))
     return fields
 
 

@@ -169,6 +169,17 @@ class TestEvaluation:
                 assert np.allclose(got.coeffs if hasattr(got, "coeffs") else got,
                                    [float(c) for c in want.coeffs], rtol=1e-11, atol=1e-11)
 
+    def test_roots_of_a_dual_stay_exact(self):
+        from sympinv.rational import Dual
+
+        a = Dual(Fraction(9, 4), 1)
+        # d/da (2 sqrt(a)) = 1/sqrt(a) = 2/3
+        assert evaluate(parse("sqrt(a) + a^(1/2)"), {"a": a}) == Dual(3, Fraction(2, 3))
+        b = Dual(Fraction(27, 8), 1)
+        # d/db b^(2/3) = (2/3) b^(-1/3) = 4/9
+        got = evaluate(parse("b^(2/3)"), {"b": b})
+        assert type(got) is Dual and got == Dual(Fraction(9, 4), Fraction(4, 9))
+
     def test_cube_root_via_rational_exponent(self):
         ast = parse("y^(1/3)")
         out = evaluate(ast, {"y": 8.0})

@@ -105,10 +105,19 @@ class TestHamiltonianFields:
     def test_contact_homothety(self):
         cs = ContactSpace.standard(1)
         h = Poly(3, {(0, 0, 1): 2, (1, 1, 0): -1})  # 2z - xy
-        f = hamiltonian_field(h, cs, contact=True)
+        f = hamiltonian_field(h, cs)
         assert f.coeffs[0] == Poly(3, {(1, 0, 0): 1})
         assert f.coeffs[1] == Poly(3, {(0, 1, 0): 1})
         assert f.coeffs[2] == Poly(3, {(0, 0, 1): 2})
+
+    def test_a_contact_space_gets_the_contact_field(self):
+        # x^2 on contact 3-space: X = 2x d_y + x^2 d_z, with a d_z part that
+        # the symplectic formula has no coordinate for
+        cs = ContactSpace.standard(1)
+        f = hamiltonian_field(Poly(3, {(2, 0, 0): 1}), cs)
+        assert f.coeffs == (Poly.zero(3), Poly(3, {(1, 0, 0): 2}), Poly(3, {(2, 0, 0): 1}))
+        with pytest.raises(DegreeError):  # z has weight 2, so z^2 has weight 4
+            hamiltonian_field(Poly(3, {(0, 0, 2): 1}), cs)
 
     def test_degree_error(self):
         sp = SymplecticSpace.standard(1)
@@ -134,9 +143,8 @@ class TestHamiltonianFields:
         lifted.append(Poly(3, {(0, 0, 1): 2, (1, 1, 0): -1}))
         for f in lifted:
             for g in lifted:
-                lhs = hamiltonian_field(f, cs, contact=True).bracket(
-                    hamiltonian_field(g, cs, contact=True))
-                rhs = hamiltonian_field(lagrange_bracket(f, g, cs), cs, contact=True)
+                lhs = hamiltonian_field(f, cs).bracket(hamiltonian_field(g, cs))
+                rhs = hamiltonian_field(lagrange_bracket(f, g, cs), cs)
                 assert (lhs - rhs).is_zero()
 
 

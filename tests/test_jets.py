@@ -1309,6 +1309,59 @@ class TestExactRing:
         assert same_coeffs(inv, [0, 1, Fraction(-1, 2), Fraction(1, 2)])
 
 
+class TestDualRoots:
+    """A root of a dual r + e*E is s + e / (q s^(q-1)) * E, s the exact q-th
+    root of r, so a dual stays exact wherever a Fraction does."""
+
+    def test_root_of_a_dual_scalar_is_an_exact_dual(self):
+        from sympinv.rational import Dual
+
+        cases = [(jets.sqrt, 2, Dual(4, 1), Dual(2, Fraction(1, 4))),
+                 (jets.cbrt, 3, Dual(8, 1), Dual(2, Fraction(1, 12))),
+                 (jets.cbrt, 3, Dual(-8, 3), Dual(-2, Fraction(1, 4))),
+                 (jets.sqrt, 2, Dual(Fraction(9, 4), -6), Dual(Fraction(3, 2), -2)),
+                 (jets.sqrt, 2, Dual(0), Dual(0))]
+        for root, q, x, want in cases:
+            got = root(x)
+            assert type(got) is Dual and got == want
+            assert got ** q == x
+        for root, bad in ((jets.sqrt, Dual(-4, 1)), (jets.sqrt, Dual(2, 1)),
+                          (jets.cbrt, Dual(0, 1)), (jets.sqrt, Dual(0, Fraction(1, 3)))):
+            with pytest.raises(DomainError):
+                root(bad)
+
+    @pytest.mark.parametrize("fn", [jets.exp, jets.log, jets.sin, jets.cos])
+    def test_transcendentals_of_a_dual_are_domain_errors(self, fn):
+        from sympinv.rational import Dual
+
+        for x in (Fraction(1), Dual(1, 1), Dual(Fraction(1, 2), -3)):
+            with pytest.raises(DomainError):
+                fn(x)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_roots_of_a_jet_with_a_dual_constant_term(self, p):
+        from sympinv.rational import Dual
+
+        rng = np.random.default_rng(40 + p)
+        base = tuple(Fraction(k, 3) for k in range(p))
+        n = _tables.count(p, 3)
+        rest = [Fraction(int(rng.integers(-4, 5)), 2) for _ in range(n - 1)]
+        x = MultiJet(p, 3, [Dual(Fraction(9, 4), 2)] + rest, base, exact=True)
+        y = MultiJet(p, 3, [Dual(-8, Fraction(1, 3))] + rest, base, exact=True)
+        root2, root3 = jets.sqrt(x), jets.cbrt(y)
+        assert root2.coeffs[0] == Dual(Fraction(3, 2), Fraction(2, 3))
+        assert root3.coeffs[0] == Dual(-2, Fraction(1, 36))
+        assert same_coeffs(root2 * root2, x)
+        assert same_coeffs(root3 * root3 * root3, y)
+        assert same_coeffs(x ** Fraction(1, 2), root2)
+        assert same_coeffs(x ** Fraction(3, 2), root2 ** 3)
+        assert same_coeffs(x ** Fraction(-1, 2), root2.reciprocal())
+        assert same_coeffs(y ** Fraction(2, 3), root3 * root3)
+        for bad in (Dual(2, 1), Dual(-4, 1), Dual(0, 1)):
+            with pytest.raises(DomainError):
+                jets.sqrt(MultiJet(p, 3, [bad] + rest, base, exact=True))
+
+
 # --- batched jets ---------------------------------------------------------------
 
 def batch_of(singles):
